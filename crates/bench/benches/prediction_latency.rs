@@ -1,13 +1,12 @@
 //! Criterion micro-benchmark: end-to-end per-table prediction latency of a
 //! frozen Base and full Sato predictor (the paper reports ≈0.8 ms per table
 //! and argues the CRF overhead of ≈0.2 ms is unnoticeable; Section 5.3),
-//! plus corpus serving throughput single- vs multi-threaded
-//! (`--threads N`, default: CPU count) through
-//! `SatoPredictor::predict_corpus_parallel`.
+//! plus corpus serving throughput per table and in column micro-batches
+//! (`SatoPredictor::predict_corpus_batched`, whose topic estimation runs on
+//! every core the process may use).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sato::{SatoConfig, SatoModel, SatoVariant};
-use sato_bench::ExperimentOptions;
 use sato_features::char_dist::char_features_into;
 use sato_features::para_embed::{para_features_into, DEFAULT_PARA_DIM};
 use sato_features::stats::stat_features_into;
@@ -16,7 +15,6 @@ use sato_features::{char_dist, stats, FeatureScratch};
 use sato_tabular::corpus::default_corpus;
 
 fn bench_prediction(c: &mut Criterion) {
-    let opts = ExperimentOptions::from_env_lenient();
     let corpus = default_corpus(80, 31);
     let config = SatoConfig::fast();
     let table = corpus
@@ -38,7 +36,7 @@ fn bench_prediction(c: &mut Criterion) {
     group.finish();
 
     // Serving throughput over the whole corpus: the same frozen predictor,
-    // sequentially and fanned out over scoped threads.
+    // table by table and in column micro-batches.
     let predictor = SatoModel::train(&corpus, config, SatoVariant::Full).into_predictor();
     let mut group = c.benchmark_group("serving_throughput");
     group.sample_size(10);
@@ -46,13 +44,6 @@ fn bench_prediction(c: &mut Criterion) {
         BenchmarkId::new("predict_corpus", "1_thread"),
         &corpus,
         |b, corp| b.iter(|| predictor.predict_corpus(std::hint::black_box(corp))),
-    );
-    group.bench_with_input(
-        BenchmarkId::new("predict_corpus", format!("{}_threads", opts.threads)),
-        &corpus,
-        |b, corp| {
-            b.iter(|| predictor.predict_corpus_parallel(std::hint::black_box(corp), opts.threads))
-        },
     );
     // Corpus-batched serving: one forward pass per micro-batch of columns.
     for batch_cols in [16usize, 256] {

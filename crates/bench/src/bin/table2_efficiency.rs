@@ -3,16 +3,19 @@
 //! ("Structured") training costs reported separately, over repeated trials.
 //!
 //! Prediction timing uses the frozen [`sato::SatoPredictor`] serving
-//! artifact and reports per-table sequential, corpus-batched
-//! (`predict_corpus_batched`) and multi-threaded (`--threads N`, default:
-//! CPU count) serving throughput — the serving-side extension of the
-//! paper's efficiency study.
+//! artifact and reports per-table sequential and corpus-batched
+//! (`predict_corpus_batched`) serving throughput — the serving-side
+//! extension of the paper's efficiency study. For topic-aware variants the
+//! batched path estimates each micro-batch's topics on every core the
+//! process may run on.
 //!
 //! Besides the human-readable table, the run writes `BENCH_serving.json`
-//! (all single-threaded measurements, so the numbers are valid on a 1-CPU
-//! container): per-table vs batched serving throughput, single-pass vs
-//! reference (per-alphabet-character) feature extraction µs/column (with a
-//! per-group char/word/para/stat breakdown of the reference cost), the
+//! (single-threaded measurements, except that batched serving estimates
+//! topics on every core the process may run on; `single_threaded` records
+//! whether that was one): per-table vs batched serving throughput,
+//! single-pass vs reference (per-alphabet-character) feature extraction
+//! µs/column (with a per-group char/word/para/stat breakdown of the
+//! reference cost), the
 //! `hashing` section — kernel-layer (prefix-extension) vs scalar
 //! (length-major) n-gram token hashing µs/token — scratch (streaming) vs
 //! reference (mega-string) LDA topic estimation µs/table, the `crf_decode`
@@ -78,10 +81,9 @@ fn main() {
     let config = opts.sato_config();
     let split = train_test_split(&corpus, 0.2, opts.seed);
     println!(
-        "training on {} multi-column tables, predicting {} held-out tables (serving with {} threads, {} sampler)",
+        "training on {} multi-column tables, predicting {} held-out tables ({} sampler)",
         split.train.len(),
         split.test.len(),
-        opts.threads,
         opts.sampler.name()
     );
 
@@ -94,7 +96,6 @@ fn main() {
         let mut crf_times = Vec::new();
         let mut predict_times = Vec::new();
         let mut batched_times = Vec::new();
-        let mut parallel_times = Vec::new();
         for trial in 0..opts.trials {
             eprintln!(
                 "[table2] {} trial {}/{}",
@@ -123,14 +124,6 @@ fn main() {
                 sequential, batched,
                 "batched serving must reproduce per-table output exactly"
             );
-
-            let (parallel, secs) =
-                best_of(|| predictor.predict_corpus_parallel(&split.test, opts.threads));
-            parallel_times.push(secs);
-            assert_eq!(
-                sequential, parallel,
-                "parallel serving must reproduce sequential output exactly"
-            );
             if variant == SatoVariant::Full {
                 full_predictor = Some(predictor);
             }
@@ -145,11 +138,9 @@ fn main() {
             crf_times,
             predict_times,
             batched_times,
-            parallel_times,
         ));
     }
 
-    let threads_header = format!("predict {}T [s]", opts.threads);
     let batched_header = format!("batched({BATCH_COLS}) [s]");
     let mut table = TextTable::new(&[
         "model",
@@ -157,14 +148,13 @@ fn main() {
         "train CRF [s]",
         "predict 1T [s]",
         &batched_header,
-        &threads_header,
         "per table [ms]",
     ]);
     let fmt = |values: &[f64]| {
         let (mean, ci) = mean_and_ci95(values);
         format!("{mean:.2} ±{ci:.2}")
     };
-    for (variant, features, crf, predict, batched, parallel) in &rows {
+    for (variant, features, crf, predict, batched) in &rows {
         let per_table_ms: Vec<f64> = predict
             .iter()
             .map(|t| t * 1000.0 / split.test.len().max(1) as f64)
@@ -180,7 +170,6 @@ fn main() {
             crf_cell,
             fmt(predict),
             fmt(batched),
-            fmt(parallel),
             fmt(&per_table_ms),
         ]);
     }
@@ -298,7 +287,7 @@ fn main() {
         "Expected shape: Sato adds topic + CRF training cost; per-table prediction stays in the"
     );
     println!(
-        "millisecond range, and the frozen predictor scales serving throughput with batching and --threads."
+        "millisecond range, and the frozen predictor raises serving throughput with batching."
     );
 }
 
@@ -649,7 +638,8 @@ fn time_artifacts(predictor: &SatoPredictor, test: &Corpus) -> ArtifactBench {
 }
 
 /// Emit `BENCH_serving.json`: the machine-readable perf trajectory of the
-/// serving path (all single-threaded numbers).
+/// serving path (single-threaded numbers, except batched serving on a
+/// host with more than one core).
 #[allow(clippy::too_many_arguments)]
 fn write_serving_json(
     opts: &ExperimentOptions,
@@ -669,8 +659,9 @@ fn write_serving_json(
     let per_table = mean(per_table_secs);
     let batched = mean(batched_secs);
     let (single_pass_us, baseline_us) = (features.single_pass_us, features.baseline_us);
+    let single_threaded = std::thread::available_parallelism().map_or(true, |n| n.get() == 1);
     let json = format!(
-        "{{\n  \"schema\": \"sato-bench/serving-v1\",\n  \"single_threaded\": true,\n  \"model\": \"Sato (Full)\",\n  \"corpus\": {{ \"tables\": {}, \"columns\": {}, \"seed\": {}, \"trials\": {} }},\n  \"serving\": {{\n    \"batch_cols\": {BATCH_COLS},\n    \"sampler\": \"{}\",\n    \"per_table_secs\": {per_table:.6},\n    \"batched_secs\": {batched:.6},\n    \"per_table_tables_per_sec\": {:.2},\n    \"batched_tables_per_sec\": {:.2},\n    \"batched_speedup\": {:.3}\n  }},\n  \"feature_extraction\": {{\n    \"single_pass_us_per_column\": {single_pass_us:.2},\n    \"baseline_us_per_column\": {baseline_us:.2},\n    \"single_pass_speedup\": {:.3},\n    \"reference_groups_us_per_column\": {{\n      \"char\": {:.2},\n      \"word\": {:.2},\n      \"para\": {:.2},\n      \"stat\": {:.2}\n    }}\n  }},\n  \"hashing\": {{\n    \"kernel_us_per_token\": {hashing_kernel_us:.4},\n    \"scalar_us_per_token\": {hashing_scalar_us:.4},\n    \"hashing_speedup\": {:.3}\n  }},\n  \"topic_estimation\": {{\n    \"scratch_us_per_table\": {topic_scratch_us:.2},\n    \"reference_us_per_table\": {topic_reference_us:.2},\n    \"topic_speedup\": {:.3}\n  }},\n  \"crf_decode\": {{\n    \"kernel_us_per_chain\": {crf_kernel_us:.2},\n    \"reference_us_per_chain\": {crf_reference_us:.2},\n    \"crf_decode_speedup\": {:.3}\n  }},\n  \"gibbs_sampler\": {{\n    \"dense_us_per_table\": {:.2},\n    \"sparse_us_per_table\": {:.2},\n    \"sparse_speedup\": {:.3},\n    \"mean_l1_drift_vs_dense\": {:.4}\n  }},\n  \"mh_sampler\": {{\n    \"mh_us_per_table\": {:.2},\n    \"mh_speedup\": {:.3},\n    \"mh_speedup_vs_dense\": {:.3},\n    \"mh_l1_drift_vs_dense\": {:.4}\n  }},\n  \"artifact\": {{\n    \"json_bytes\": {},\n    \"binary_bytes\": {},\n    \"binary_size_ratio\": {:.3},\n    \"json_load_us\": {:.2},\n    \"binary_load_us\": {:.2},\n    \"binary_load_speedup\": {:.3},\n    \"colstore_bytes\": {},\n    \"colstore_cold_serve_secs\": {:.6},\n    \"colstore_cold_tables_per_sec\": {:.2}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"sato-bench/serving-v1\",\n  \"single_threaded\": {single_threaded},\n  \"model\": \"Sato (Full)\",\n  \"corpus\": {{ \"tables\": {}, \"columns\": {}, \"seed\": {}, \"trials\": {} }},\n  \"serving\": {{\n    \"batch_cols\": {BATCH_COLS},\n    \"sampler\": \"{}\",\n    \"per_table_secs\": {per_table:.6},\n    \"batched_secs\": {batched:.6},\n    \"per_table_tables_per_sec\": {:.2},\n    \"batched_tables_per_sec\": {:.2},\n    \"batched_speedup\": {:.3}\n  }},\n  \"feature_extraction\": {{\n    \"single_pass_us_per_column\": {single_pass_us:.2},\n    \"baseline_us_per_column\": {baseline_us:.2},\n    \"single_pass_speedup\": {:.3},\n    \"reference_groups_us_per_column\": {{\n      \"char\": {:.2},\n      \"word\": {:.2},\n      \"para\": {:.2},\n      \"stat\": {:.2}\n    }}\n  }},\n  \"hashing\": {{\n    \"kernel_us_per_token\": {hashing_kernel_us:.4},\n    \"scalar_us_per_token\": {hashing_scalar_us:.4},\n    \"hashing_speedup\": {:.3}\n  }},\n  \"topic_estimation\": {{\n    \"scratch_us_per_table\": {topic_scratch_us:.2},\n    \"reference_us_per_table\": {topic_reference_us:.2},\n    \"topic_speedup\": {:.3}\n  }},\n  \"crf_decode\": {{\n    \"kernel_us_per_chain\": {crf_kernel_us:.2},\n    \"reference_us_per_chain\": {crf_reference_us:.2},\n    \"crf_decode_speedup\": {:.3}\n  }},\n  \"gibbs_sampler\": {{\n    \"dense_us_per_table\": {:.2},\n    \"sparse_us_per_table\": {:.2},\n    \"sparse_speedup\": {:.3},\n    \"mean_l1_drift_vs_dense\": {:.4}\n  }},\n  \"mh_sampler\": {{\n    \"mh_us_per_table\": {:.2},\n    \"mh_speedup\": {:.3},\n    \"mh_speedup_vs_dense\": {:.3},\n    \"mh_l1_drift_vs_dense\": {:.4}\n  }},\n  \"artifact\": {{\n    \"json_bytes\": {},\n    \"binary_bytes\": {},\n    \"binary_size_ratio\": {:.3},\n    \"json_load_us\": {:.2},\n    \"binary_load_us\": {:.2},\n    \"binary_load_speedup\": {:.3},\n    \"colstore_bytes\": {},\n    \"colstore_cold_serve_secs\": {:.6},\n    \"colstore_cold_tables_per_sec\": {:.2}\n  }}\n}}\n",
         test.len(),
         columns,
         opts.seed,

@@ -13,7 +13,6 @@
 //! --topics K    LDA topic count                            (default 64)
 //! --epochs E    column-wise network training epochs        (default 40)
 //! --trials T    repetitions for timing / permutation runs  (default 3)
-//! --threads N   serving threads for parallel prediction    (default: CPU count)
 //! --sampler S   serving topic sampler: dense | sparse | mh (default dense)
 //! --fast        shrink everything for a quick smoke run
 //! ```
@@ -39,19 +38,10 @@ pub struct ExperimentOptions {
     pub epochs: usize,
     /// Trials for repeated measurements.
     pub trials: usize,
-    /// Number of serving threads for parallel prediction benchmarks.
-    pub threads: usize,
     /// Serving-time topic sampler (`--sampler dense|sparse|mh`).
     pub sampler: SamplerKind,
     /// Whether `--fast` was passed.
     pub fast: bool,
-}
-
-/// The machine's logical CPU count (1 when it cannot be determined).
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 impl Default for ExperimentOptions {
@@ -63,7 +53,6 @@ impl Default for ExperimentOptions {
             topics: 64,
             epochs: 40,
             trials: 3,
-            threads: default_threads(),
             sampler: SamplerKind::Dense,
             fast: false,
         }
@@ -100,7 +89,6 @@ impl ExperimentOptions {
                 "--topics" => opts.topics = take_usize("--topics"),
                 "--epochs" => opts.epochs = take_usize("--epochs"),
                 "--trials" => opts.trials = take_usize("--trials"),
-                "--threads" => opts.threads = take_usize("--threads").max(1),
                 "--sampler" => {
                     opts.sampler = match iter.next().as_deref() {
                         Some("dense") => SamplerKind::Dense,
@@ -112,7 +100,7 @@ impl ExperimentOptions {
                 "--fast" => opts.fast = true,
                 "--help" | "-h" if !lenient => {
                     println!(
-                        "options: --tables N --seed S --folds F --topics K --epochs E --trials T --threads N --sampler dense|sparse|mh --fast"
+                        "options: --tables N --seed S --folds F --topics K --epochs E --trials T --sampler dense|sparse|mh --fast"
                     );
                     std::process::exit(0);
                 }
@@ -218,8 +206,6 @@ mod tests {
             "3",
             "--trials",
             "2",
-            "--threads",
-            "6",
             "--sampler",
             "sparse",
         ]));
@@ -229,7 +215,6 @@ mod tests {
         assert_eq!(opts.topics, 8);
         assert_eq!(opts.epochs, 3);
         assert_eq!(opts.trials, 2);
-        assert_eq!(opts.threads, 6);
         assert_eq!(opts.sampler, SamplerKind::SparseAlias);
     }
 
@@ -255,23 +240,15 @@ mod tests {
     }
 
     #[test]
-    fn threads_default_to_cpu_count_and_clamp_to_one() {
-        assert_eq!(ExperimentOptions::default().threads, default_threads());
-        assert!(default_threads() >= 1);
-        let opts = ExperimentOptions::parse(args(&["--threads", "0"]));
-        assert_eq!(opts.threads, 1, "--threads 0 clamps to 1");
-    }
-
-    #[test]
     fn lenient_parse_skips_harness_flags() {
         // `cargo bench` forwards flags like `--bench` and filter strings.
         let opts = ExperimentOptions::parse_lenient(args(&[
             "--bench",
             "prediction_latency",
-            "--threads",
+            "--trials",
             "3",
         ]));
-        assert_eq!(opts.threads, 3);
+        assert_eq!(opts.trials, 3);
         assert_eq!(opts.tables, ExperimentOptions::default().tables);
     }
 

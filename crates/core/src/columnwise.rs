@@ -18,6 +18,7 @@
 
 use crate::config::SatoConfig;
 use crate::dataset::{Standardizer, TableInputs, TrainingData};
+use crate::fanout::{FanOut, MAX_WORKERS};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -32,6 +33,7 @@ use sato_tabular::table::{Corpus, Table, TableCells};
 use sato_tabular::types::{SemanticType, NUM_TYPES};
 use sato_topic::{SamplerKind, TableIntentEstimator, TopicSampler, TopicScratch};
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Mutex, PoisonError};
 
 /// Index of the maximum probability in one row (ties resolve to the last
 /// maximal entry, matching `Iterator::max_by`).
@@ -429,23 +431,46 @@ impl TopicMemo {
     }
 }
 
+/// One fill worker's workspace: the feature and topic buffers it extracts
+/// with.
+#[derive(Default)]
+struct FillScratch {
+    features: FeatureScratch,
+    /// Streaming table-topic estimation workspace (token ids, token buffer,
+    /// Gibbs-inference buffers — including the sparse-sampler structures).
+    topic: TopicScratch,
+}
+
 /// Reusable workspace for the corpus-batched serving path: feature
 /// extraction buffers, per-group batch input matrices, the network's
 /// ping-pong activation buffers, the flat probability matrix and the CRF
 /// unary buffer. One scratch serves any number of micro-batches; after the
 /// first batch has warmed the buffers, a batch's only steady-state
 /// allocations are its per-table outputs.
+///
+/// For a topic-aware model, the tables of a batch of two or more are
+/// filled on several cores at once. The scratch owns one parked helper
+/// thread per extra core (`std::thread::available_parallelism`, which
+/// honours the affinity mask and the cgroup CPU quota, queried once per
+/// scratch). The helpers are started by the first batch that uses them,
+/// park between batches, and are joined when the scratch is dropped. A
+/// process pinned to one core, a single-table batch and a model without
+/// topics all stay on the calling thread. Outputs are bit-identical either
+/// way: every table's topic chain runs from the model's fixed inference
+/// seed.
 #[derive(Default)]
 pub struct ServingScratch {
-    features: FeatureScratch,
-    /// Streaming table-topic estimation workspace (token ids, token buffer,
-    /// Gibbs-inference buffers — including the sparse-sampler structures).
-    topic: TopicScratch,
-    /// The current table's topic vector, reused across tables.
-    topic_vec: Vec<f32>,
+    /// One fill workspace per worker; the calling thread fills with the
+    /// first.
+    fill: Vec<FillScratch>,
+    /// The last batch's topic vectors, `num_topics` floats per table in
+    /// batch order.
+    thetas: Vec<f32>,
     /// Opt-in bounded memo of table id → topic vector (see
     /// [`Self::with_topic_memo`]).
     topic_memo: Option<TopicMemo>,
+    /// The helper threads that fill a batch next to the calling thread.
+    fanout: FanOut,
     net: MultiInferScratch,
     head: InferScratch,
     groups: Vec<Matrix>,
@@ -506,6 +531,28 @@ impl ServingScratch {
         self.topic_memo.as_ref().map_or(0, |m| m.capacity)
     }
 
+    /// Pin the fan-out width instead of querying the host, so unit tests
+    /// cover every width on any machine.
+    #[cfg(test)]
+    pub(crate) fn with_fill_width(mut self, width: usize) -> Self {
+        self.fanout.set_width(width);
+        self
+    }
+
+    /// Number of fan-out helper threads this scratch has started.
+    #[cfg(test)]
+    pub(crate) fn fill_helpers(&self) -> usize {
+        self.fanout.helpers()
+    }
+
+    /// The memoised table ids, oldest insertion first.
+    #[cfg(test)]
+    pub(crate) fn topic_memo_order(&self) -> Vec<u64> {
+        self.topic_memo
+            .as_ref()
+            .map_or_else(Vec::new, |m| m.order.iter().copied().collect())
+    }
+
     /// The column embeddings of the **last batch** run through this
     /// scratch: one row per column, table after table in batch order (the
     /// final hidden representation before the output layer). Valid after
@@ -532,6 +579,51 @@ impl ServingScratch {
                 memo.artifact = Some(content_hash);
             }
         }
+    }
+}
+
+/// Input groups of a batch: the four feature groups, then the topic group
+/// of topic-aware models.
+const GROUPS: usize = FeatureGroup::ALL.len() + 1;
+
+/// One row slice per input group (the topic slice stays empty for models
+/// without topics).
+type GroupRows<'a> = [&'a mut [f32]; GROUPS];
+
+/// Row `row` of a row-major slice `w` floats wide.
+fn row_of(rows: &mut [f32], row: usize, w: usize) -> &mut [f32] {
+    &mut rows[row * w..(row + 1) * w]
+}
+
+/// The tables of a batch not yet taken by a fill worker, with the input
+/// rows and topic-vector slot of each. Workers take the next table one at
+/// a time, so a worker that runs slower (a wide table, or a core shared
+/// with another process) simply takes fewer tables.
+struct Pending<'a, T: ?Sized> {
+    tables: &'a [&'a T],
+    rows: GroupRows<'a>,
+    thetas: &'a mut [f32],
+}
+
+impl<'a, T: TableCells + ?Sized> Pending<'a, T> {
+    /// Take the next table with its row slices (`widths` floats per row
+    /// and group) and its `k`-float topic slot.
+    fn take(
+        &mut self,
+        widths: &[usize],
+        k: usize,
+    ) -> Option<(&'a T, GroupRows<'a>, &'a mut [f32])> {
+        let (&table, tables) = self.tables.split_first()?;
+        self.tables = tables;
+        let mut rows: GroupRows<'a> = Default::default();
+        for ((slot, left), &w) in rows.iter_mut().zip(&mut self.rows).zip(widths) {
+            let (head, tail) = std::mem::take(left).split_at_mut(table.cell_columns() * w);
+            *slot = head;
+            *left = tail;
+        }
+        let (theta, thetas) = std::mem::take(&mut self.thetas).split_at_mut(k);
+        self.thetas = thetas;
+        Some((table, rows, theta))
     }
 }
 
@@ -683,6 +775,13 @@ impl FrozenColumnwise {
     /// and [`Self::embed_batch_cells`]), then standardize in place.
     /// Returns `false` — leaving the group matrices untouched — when the
     /// batch carries no columns at all.
+    ///
+    /// Topic-aware batches of two or more tables are filled by several
+    /// workers at once (see [`ServingScratch`]): the calling thread and the
+    /// scratch's helpers take tables one at a time, each writing its
+    /// table's own rows. The topic memo is read-only while they run; misses
+    /// are inserted afterwards in table order, so the memo ends up exactly
+    /// as a one-worker fill leaves it.
     fn fill_batch_groups<T: TableCells + ?Sized>(
         &self,
         tables: &[&T],
@@ -693,78 +792,137 @@ impl FrozenColumnwise {
         if total_rows == 0 {
             return false;
         }
-        scratch.groups.resize_with(widths.len(), Matrix::default);
-        for (group, &w) in scratch.groups.iter_mut().zip(widths) {
+        let ServingScratch {
+            fill,
+            thetas,
+            topic_memo,
+            fanout,
+            groups,
+            ..
+        } = scratch;
+        groups.resize_with(widths.len(), Matrix::default);
+        for (group, &w) in groups.iter_mut().zip(widths) {
             group.resize(total_rows, w);
         }
+        let est = self.topic_estimator();
+        let k = est.map_or(0, |est| est.num_topics());
+        thetas.resize(tables.len() * k, 0.0);
 
-        // Fill the batch matrices: features are extracted straight into the
-        // matrix rows (no per-column feature vectors), the table's topic
-        // vector is estimated through the scratch (streaming encoder + Gibbs
-        // buffers, bit-identical to `TableIntentEstimator::estimate`) and
-        // replicated across its rows.
-        let mut row = 0usize;
-        for table in tables {
+        // Estimating topics is most of a batch's cost; features alone are
+        // too cheap to pay for waking a helper.
+        let workers = match est {
+            Some(_) if tables.len() >= 2 => fanout.width().min(tables.len()),
+            _ => 1,
+        };
+        if fill.len() < workers {
+            fill.resize_with(workers, FillScratch::default);
+        }
+        let mut rows: GroupRows = Default::default();
+        for (slot, group) in rows.iter_mut().zip(groups.iter_mut()) {
+            *slot = group.data_mut();
+        }
+        let pending = Mutex::new(Pending {
+            tables,
+            rows,
+            thetas: &mut thetas[..],
+        });
+        let memo = topic_memo.as_ref();
+        if workers == 1 {
+            self.fill_pending(&pending, memo, &mut fill[0]);
+        } else {
+            // One job per worker, each with its own fill scratch; the jobs
+            // share one closure type so they fit a fixed array, and only
+            // the first `workers` run.
+            let mut scratches = fill.iter_mut();
+            let mut jobs: [_; MAX_WORKERS] = std::array::from_fn(|_| {
+                let (pending, mut scratch) = (&pending, scratches.next());
+                move || {
+                    if let Some(scratch) = &mut scratch {
+                        self.fill_pending(pending, memo, scratch);
+                    }
+                }
+            });
+            fanout.run(&mut jobs[..workers]);
+        }
+
+        if let Some(memo) = topic_memo.as_mut().filter(|_| k > 0) {
+            for (table, theta) in tables.iter().zip(thetas.chunks_exact(k)) {
+                if memo.get(table.table_id()).is_none() {
+                    memo.insert(table.table_id(), theta.to_vec());
+                }
+            }
+        }
+        for (scaler, group) in self.scalers.iter().zip(groups.iter_mut()) {
+            scaler.transform_in_place(group);
+        }
+        true
+    }
+
+    /// The intent estimator, for topic-aware models only.
+    fn topic_estimator(&self) -> Option<&TableIntentEstimator> {
+        self.use_topic.then(|| {
+            self.intent
+                .as_ref()
+                .expect("topic-aware model carries an intent estimator")
+        })
+    }
+
+    /// One fill worker: take tables from `pending` until none is left and
+    /// fill each one's rows. A table's topic vector comes from the memo or
+    /// is estimated through the worker's scratch (streaming encoder + Gibbs
+    /// buffers, bit-identical to `TableIntentEstimator::estimate`), is kept
+    /// in its topic slot and is replicated across the table's rows;
+    /// features are extracted straight into the rows (no per-column feature
+    /// vectors).
+    fn fill_pending<T: TableCells + ?Sized>(
+        &self,
+        pending: &Mutex<Pending<'_, T>>,
+        memo: Option<&TopicMemo>,
+        scratch: &mut FillScratch,
+    ) {
+        let est = self.topic_estimator();
+        let w = &self.group_widths;
+        let k = est.map_or(0, |est| est.num_topics());
+        loop {
+            // Recovering a poisoned lock is sound: at every step `take`
+            // leaves the cursor holding disjoint slices of this batch.
+            let next = pending
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take(w, k);
+            let Some((table, [g_char, g_word, g_para, g_stat, g_topic], theta)) = next else {
+                return;
+            };
             // Named injection point `core.feature_extract`, keyed by table
             // id (chaos builds only). There is no error channel this deep
             // in a prediction, so an armed Error escalates to a panic —
             // the serving layer contains it and quarantines the culprit.
             #[cfg(feature = "faults")]
             sato_faults::fire_panic("core.feature_extract", table.table_id());
-            if self.use_topic {
-                let est = self
-                    .intent
-                    .as_ref()
-                    .expect("topic-aware model carries an intent estimator");
-                if let Some(hit) = scratch
-                    .topic_memo
-                    .as_ref()
-                    .and_then(|m| m.get(table.table_id()))
-                {
-                    scratch.topic_vec.clear();
-                    scratch.topic_vec.extend_from_slice(hit);
-                } else {
-                    scratch.topic_vec.clear();
-                    scratch.topic_vec.resize(est.num_topics(), 0.0);
-                    est.estimate_cells_into(
-                        *table,
-                        &self.sampler,
-                        &mut scratch.topic,
-                        &mut scratch.topic_vec,
-                    );
-                    if let Some(memo) = &mut scratch.topic_memo {
-                        memo.insert(table.table_id(), scratch.topic_vec.clone());
+            if let Some(est) = est {
+                match memo.and_then(|m| m.get(table.table_id())) {
+                    Some(hit) => theta.copy_from_slice(hit),
+                    None => {
+                        theta.fill(0.0);
+                        est.estimate_cells_into(table, &self.sampler, &mut scratch.topic, theta);
                     }
                 }
             }
             for c in 0..table.cell_columns() {
                 let column = table.cells(c);
-                let (feature_groups, topic_group) =
-                    scratch.groups.split_at_mut(FeatureGroup::ALL.len());
-                let [g_char, g_word, g_para, g_stat] = feature_groups else {
-                    unreachable!("batch matrices cover the four feature groups");
-                };
                 self.extractor.extract_column_into(
                     &column,
                     &mut scratch.features,
-                    g_char.row_mut(row),
-                    g_word.row_mut(row),
-                    g_para.row_mut(row),
-                    g_stat.row_mut(row),
+                    row_of(g_char, c, w[0]),
+                    row_of(g_word, c, w[1]),
+                    row_of(g_para, c, w[2]),
+                    row_of(g_stat, c, w[3]),
                 );
-                if self.use_topic {
-                    topic_group[0]
-                        .row_mut(row)
-                        .copy_from_slice(&scratch.topic_vec);
+                if est.is_some() {
+                    row_of(g_topic, c, k).copy_from_slice(theta);
                 }
-                row += 1;
             }
         }
-
-        for (scaler, group) in self.scalers.iter().zip(scratch.groups.iter_mut()) {
-            scaler.transform_in_place(group);
-        }
-        true
     }
 
     /// Column embeddings (the final hidden representation before the output

@@ -34,10 +34,11 @@
 //!
 //! `SatoPredictor` is `Send + Sync` by construction (no RNG, no caches, no
 //! interior mutability), so one frozen artifact can serve any number of
-//! threads concurrently ([`SatoPredictor::predict_corpus_parallel`]), and it
-//! round-trips through JSON ([`SatoPredictor::to_json`] /
-//! [`SatoPredictor::from_json`]) as a deployable artifact that reproduces
-//! the saved predictions bit for bit.
+//! threads concurrently, and its batched entry points
+//! ([`SatoPredictor::predict_corpus_batched`]) already estimate a batch's
+//! topics on every core the process may run on. It round-trips through
+//! JSON ([`SatoPredictor::to_json`] / [`SatoPredictor::from_json`]) as a
+//! deployable artifact that reproduces the saved predictions bit for bit.
 //!
 //! ```no_run
 //! use sato::{SatoConfig, SatoModel, SatoPredictor, SatoVariant};
@@ -53,12 +54,12 @@
 //! let predictor = model.into_predictor();
 //! predictor.save("sato_full.json").unwrap();
 //!
-//! // ... and serve, sequentially or from many threads at once.
+//! // ... and serve, table by table or in column micro-batches.
 //! let served = SatoPredictor::load("sato_full.json").unwrap();
 //! for table in split.test.iter().take(3) {
 //!     println!("table {} -> {:?}", table.id, served.predict(table));
 //! }
-//! let predictions = served.predict_corpus_parallel(&split.test, 8);
+//! let predictions = served.predict_corpus_batched(&split.test, 64);
 //! assert_eq!(predictions, served.predict_corpus(&split.test));
 //! ```
 
@@ -69,6 +70,7 @@ pub mod bert_like;
 pub mod columnwise;
 pub mod config;
 pub mod dataset;
+mod fanout;
 pub mod model;
 pub mod predictor;
 pub mod structured;

@@ -7,8 +7,9 @@
 //! read-optimised side of that split: it owns the column-wise network
 //! weights (with BatchNorm running statistics), the optional CRF layer and
 //! the configuration, exposes every prediction entry point by `&self`,
-//! round-trips through JSON as a deployable artifact, and fans a corpus out
-//! over scoped threads with [`SatoPredictor::predict_corpus_parallel`].
+//! round-trips through JSON as a deployable artifact, and serves a corpus
+//! in column micro-batches with [`SatoPredictor::predict_corpus_batched`],
+//! whose topic estimation runs on every core the process may use.
 //!
 //! ```no_run
 //! use sato::{SatoConfig, SatoModel, SatoVariant};
@@ -302,11 +303,10 @@ impl SatoPredictor {
     ///   not bit-identical.
     ///
     /// The choice is respected by every serving entry point (`predict`,
-    /// `predict_corpus`, `predict_corpus_batched`,
-    /// `predict_corpus_parallel_batched`, …) and serialized into the JSON
-    /// artifact, so a loaded predictor reproduces the saved one bit for
-    /// bit. For variants without a topic estimator the kind is recorded but
-    /// predictions are unaffected.
+    /// `predict_corpus`, `predict_corpus_batched`, `predict_batch`, …) and
+    /// serialized into the JSON artifact, so a loaded predictor reproduces
+    /// the saved one bit for bit. For variants without a topic estimator
+    /// the kind is recorded but predictions are unaffected.
     pub fn with_sampler(mut self, kind: SamplerKind) -> Self {
         self.columnwise = self.columnwise.with_sampler_kind(kind);
         // The sampler is part of the serialized artifact, so the content
@@ -463,6 +463,11 @@ impl SatoPredictor {
     /// `batch_cols` is clamped to at least 1; `1` degenerates to one batch
     /// per table, and a value larger than the corpus's total column count
     /// runs the whole corpus as a single batch.
+    ///
+    /// For topic-aware models every batch of two or more tables estimates
+    /// its topics on all the cores the process may run on (see
+    /// [`ServingScratch`]), so sharding the corpus across threads on top of
+    /// this would only oversubscribe them.
     pub fn predict_corpus_batched(
         &self,
         corpus: &Corpus,
@@ -485,8 +490,7 @@ impl SatoPredictor {
     }
 
     /// Batched prediction over a slice of tables, reusing one serving
-    /// scratch across all micro-batches (shared by the sequential and
-    /// parallel batched entry points).
+    /// scratch across all micro-batches.
     fn predict_tables_batched(
         &self,
         tables: &[Table],
@@ -639,79 +643,6 @@ impl SatoPredictor {
     ) -> Result<Vec<TablePrediction>, ColStoreError> {
         let mut reader = sato_tabular::colstore::open_path(path)?;
         self.predict_colstore(&mut reader, batch_cols, &mut ServingScratch::new())
-    }
-
-    /// Batched prediction sharded over `n_threads` scoped OS threads: each
-    /// thread serves a contiguous chunk of the corpus with
-    /// [`Self::predict_corpus_batched`]'s micro-batching and its own
-    /// scratch. Output is bit-identical to [`Self::predict_corpus`] (and
-    /// therefore to every other serving entry point), in corpus order.
-    pub fn predict_corpus_parallel_batched(
-        &self,
-        corpus: &Corpus,
-        batch_cols: usize,
-        n_threads: usize,
-    ) -> Vec<TablePrediction> {
-        let n_threads = n_threads.max(1);
-        let tables = &corpus.tables;
-        if n_threads == 1 || tables.len() < 2 {
-            return self.predict_tables_batched(tables, batch_cols, &mut ServingScratch::new());
-        }
-        let chunk_size = tables.len().div_ceil(n_threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = tables
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        self.predict_tables_batched(chunk, batch_cols, &mut ServingScratch::new())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("prediction thread panicked"))
-                .collect()
-        })
-    }
-
-    /// Predict every table of a corpus on `n_threads` scoped OS threads,
-    /// sharing `self` by reference. The output is exactly — bit for bit —
-    /// the output of [`Self::predict_corpus`], in the same order; only the
-    /// wall-clock time changes.
-    ///
-    /// `n_threads` is clamped to at least 1; with 1 thread (or at most one
-    /// table) this falls back to the sequential path.
-    pub fn predict_corpus_parallel(
-        &self,
-        corpus: &Corpus,
-        n_threads: usize,
-    ) -> Vec<TablePrediction> {
-        let n_threads = n_threads.max(1);
-        let tables = &corpus.tables;
-        if n_threads == 1 || tables.len() < 2 {
-            return self.predict_corpus(corpus);
-        }
-        // Contiguous chunks keep the output order: chunk i's results are
-        // appended before chunk i+1's. Each thread borrows `self` — this is
-        // exactly the Send + Sync guarantee the frozen artifact exists for.
-        let chunk_size = tables.len().div_ceil(n_threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = tables
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|t| self.predict_table(t))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("prediction thread panicked"))
-                .collect()
-        })
     }
 
     /// Serialize the whole predictor (config, weights, running statistics,
@@ -926,13 +857,6 @@ mod tests {
                     variant.name()
                 );
             }
-            // Batching composes with thread sharding.
-            assert_eq!(
-                sequential,
-                predictor.predict_corpus_parallel_batched(&corpus, 8, 3),
-                "variant {} parallel batched",
-                variant.name()
-            );
         }
     }
 
@@ -1195,23 +1119,5 @@ mod tests {
         for table in corpus.iter().take(5) {
             assert_eq!(sparse.predict(table), loaded.predict(table));
         }
-    }
-
-    #[test]
-    fn parallel_prediction_matches_sequential_exactly() {
-        let corpus = default_corpus(30, 7);
-        let predictor =
-            SatoModel::train(&corpus, tiny_config(), SatoVariant::Full).into_predictor();
-        let sequential = predictor.predict_corpus(&corpus);
-        for n_threads in [1, 2, 3, 8, 64] {
-            let parallel = predictor.predict_corpus_parallel(&corpus, n_threads);
-            assert_eq!(sequential, parallel, "n_threads={n_threads}");
-        }
-        // More threads than tables must also work.
-        let small = sato_tabular::table::Corpus::new(corpus.tables[..2].to_vec());
-        assert_eq!(
-            predictor.predict_corpus(&small),
-            predictor.predict_corpus_parallel(&small, 16)
-        );
     }
 }

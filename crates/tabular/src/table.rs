@@ -210,7 +210,11 @@ impl<C: CellSource + ?Sized> CellSource for &C {
 /// [`crate::colstore::TableBuf`] implements it over dictionary-encoded
 /// pages, which is how the serving path annotates a corpus straight off
 /// disk.
-pub trait TableCells {
+///
+/// `Sync` is a supertrait because the batched serving path fills one
+/// micro-batch's tables from several threads at once, each reading its own
+/// contiguous range of the batch.
+pub trait TableCells: Sync {
     /// The per-column cell view.
     type Cells<'a>: CellSource
     where

@@ -1,6 +1,5 @@
 //! Cross-crate parity tests for the corpus-batched serving pipeline:
-//! `SatoPredictor::predict_corpus_batched` (and its thread-sharded
-//! composition) must be bit-identical to the per-table `predict_corpus` for
+//! `SatoPredictor::predict_corpus_batched` must be bit-identical to the per-table `predict_corpus` for
 //! every model variant, every micro-batch width, and arbitrarily ragged
 //! corpora — including zero-column and single-column tables.
 
@@ -74,14 +73,12 @@ proptest! {
 
     /// Batched serving is bit-identical to per-table serving on arbitrarily
     /// ragged corpora: tables with 0, 1 or many columns, columns with 0 to
-    /// several rows, any micro-batch width, with and without thread
-    /// sharding on top.
+    /// several rows, any micro-batch width.
     #[test]
     fn batched_serving_parity_over_ragged_corpora(
         shapes in proptest::collection::vec(
             proptest::collection::vec(0usize..6, 0..5), 1..9),
         batch_cols in 1usize..40,
-        threads in 1usize..5,
         salt in 0usize..10_000,
     ) {
         let predictor = full_predictor();
@@ -89,8 +86,6 @@ proptest! {
         let sequential = predictor.predict_corpus(&corpus);
         let batched = predictor.predict_corpus_batched(&corpus, batch_cols);
         prop_assert_eq!(&sequential, &batched);
-        let sharded = predictor.predict_corpus_parallel_batched(&corpus, batch_cols, threads);
-        prop_assert_eq!(&sequential, &sharded);
         // Ragged or not, every table gets one prediction per column.
         for (pred, table) in sequential.iter().zip(corpus.iter()) {
             prop_assert_eq!(pred.predicted.len(), table.num_columns());

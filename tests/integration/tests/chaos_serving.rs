@@ -247,6 +247,79 @@ fn poison_pill_worker_crash_and_corrupt_swap_in_one_run() {
     }
 }
 
+/// A poison pill filled by a *helper* thread of a fanned-out micro-batch:
+/// one round coalesces every request into a single multi-table batch (the
+/// target exceeds the round's column count). The calling thread takes the
+/// batch's wide first table, so whenever this process may run on more than
+/// one core a helper takes the next one, the culprit. The helper's panic
+/// resumes on the batcher after the rest of the batch was filled, so the
+/// service's catch-unwind and bisection see it exactly as a sequential
+/// fill's panic: only the culprit's request is quarantined, the batcher
+/// never crashes, and every other answer stays bit-identical.
+#[test]
+fn poison_pill_on_a_fill_helper_quarantines_only_its_request() {
+    let _gate = serial();
+    quiet_injected_panics();
+    let _faults = faults::scoped();
+    let a = predictor(false);
+
+    let shapes: [&[usize]; 6] = [&[12], &[2, 1], &[4, 1], &[2, 3], &[3], &[2, 2]];
+    let requests: Vec<Vec<Table>> = shapes
+        .iter()
+        .enumerate()
+        .map(|(r, cols)| request_tables(cols, (r * 100) as u64, r + 40))
+        .collect();
+    let culprit = 1;
+    faults::set(
+        "core.feature_extract",
+        FaultSpec::panic().with_key(requests[culprit][0].id),
+    );
+
+    let batch_cols = 1_000; // the whole round is one micro-batch
+    let service = SatoService::start(
+        predictor(false),
+        ServiceConfig {
+            batch_cols,
+            ..ServiceConfig::default()
+        },
+    );
+    service.pause();
+    let handles: Vec<_> = requests
+        .iter()
+        .map(|tables| {
+            service
+                .submit(tables.clone(), RequestOptions::default())
+                .expect("admitted")
+        })
+        .collect();
+    service.resume();
+
+    for (r, handle) in handles.into_iter().enumerate() {
+        if r == culprit {
+            assert!(
+                matches!(handle.wait(), Err(ServeError::Poisoned)),
+                "culprit request must be quarantined"
+            );
+        } else {
+            let response = handle
+                .wait()
+                .unwrap_or_else(|e| panic!("innocent request {r} must serve, got {e}"));
+            assert_eq!(
+                response.predictions,
+                oracle(&a, &requests[r], batch_cols),
+                "innocent request {r} must stay bit-identical to the oracle"
+            );
+        }
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.quarantined, 1, "exactly one poison pill");
+    assert_eq!(
+        stats.worker_restarts, 0,
+        "a fill panic never kills the batcher"
+    );
+    assert_eq!(stats.completed, requests.len() as u64 - 1);
+}
+
 /// A crash loop that never completes a round is a systemic fault, not a
 /// poison pill: after `MAX_CONSECUTIVE_RESTARTS` no-progress crashes the
 /// supervisor fail-stops — queued requests are answered `Stopped` (which

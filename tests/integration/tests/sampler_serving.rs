@@ -209,13 +209,6 @@ fn approximate_serving_modes_are_consistent_across_entry_points() {
                     kind.name()
                 );
             }
-            assert_eq!(
-                sequential,
-                predictor.predict_corpus_parallel_batched(&corpus, 8, 3),
-                "variant {} / {} parallel batched",
-                variant.name(),
-                kind.name()
-            );
         }
     }
 }
