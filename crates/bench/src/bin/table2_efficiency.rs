@@ -31,7 +31,7 @@
 //! throughput measurements run with (the sampler comparison section always
 //! measures all three).
 
-use sato::{SamplerKind, SatoModel, SatoPredictor, SatoVariant, TopicSampler};
+use sato::{SamplerKind, SatoModel, SatoPredictor, SatoVariant};
 use sato_bench::{banner, ExperimentOptions};
 use sato_eval::metrics::mean_and_ci95;
 use sato_eval::report::TextTable;
@@ -472,9 +472,10 @@ fn time_topic_estimation(
     trials: usize,
 ) -> (f64, f64) {
     let tables = corpus.len().max(1) as f64;
+    let dense = intent.build_sampler(SamplerKind::Dense);
     let mut scratch = TopicScratch::new();
     assert_eq!(
-        intent.estimate_corpus_with(corpus, &TopicSampler::Dense, &mut scratch),
+        intent.estimate_corpus_with(corpus, &dense, &mut scratch),
         intent.estimate_corpus(corpus),
         "scratch topic estimation must reproduce the reference exactly"
     );
@@ -482,11 +483,7 @@ fn time_topic_estimation(
     let mut reference_times = Vec::new();
     for _ in 0..trials.max(1) {
         let start = Instant::now();
-        black_box(intent.estimate_corpus_with(
-            black_box(corpus),
-            &TopicSampler::Dense,
-            &mut scratch,
-        ));
+        black_box(intent.estimate_corpus_with(black_box(corpus), &dense, &mut scratch));
         scratch_times.push(start.elapsed().as_secs_f64() * 1e6 / tables);
 
         let start = Instant::now();
@@ -538,11 +535,12 @@ fn time_gibbs_samplers(
     trials: usize,
 ) -> GibbsSamplerBench {
     let tables = corpus.len().max(1) as f64;
+    let dense = intent.build_sampler(SamplerKind::Dense);
     let sparse = intent.build_sampler(SamplerKind::SparseAlias);
     let mh = intent.build_sampler(SamplerKind::MetropolisHastings);
     let mut scratch = TopicScratch::new();
 
-    let dense_thetas = intent.estimate_corpus_with(corpus, &TopicSampler::Dense, &mut scratch);
+    let dense_thetas = intent.estimate_corpus_with(corpus, &dense, &mut scratch);
     let sparse_thetas = intent.estimate_corpus_with(corpus, &sparse, &mut scratch);
     let mh_thetas = intent.estimate_corpus_with(corpus, &mh, &mut scratch);
     let mean_l1_drift = mean_l1(&dense_thetas, &sparse_thetas);
@@ -553,11 +551,7 @@ fn time_gibbs_samplers(
     let mut mh_times = Vec::new();
     for _ in 0..trials.max(1) {
         let start = Instant::now();
-        black_box(intent.estimate_corpus_with(
-            black_box(corpus),
-            &TopicSampler::Dense,
-            &mut scratch,
-        ));
+        black_box(intent.estimate_corpus_with(black_box(corpus), &dense, &mut scratch));
         dense_times.push(start.elapsed().as_secs_f64() * 1e6 / tables);
 
         let start = Instant::now();

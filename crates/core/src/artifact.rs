@@ -20,10 +20,11 @@
 //! Offsets are absolute (from the start of the artifact) and every payload
 //! starts on an 8-byte boundary, so a memory-mapped artifact presents its
 //! `f64`/`u64` arrays aligned. `checksum` is FNV-1a 64 over the payload,
-//! verified before any decoding. Unknown section ids are ignored (forward
-//! compatibility within a version); *missing* required sections, short
-//! buffers, bad magic, checksum mismatches and version skew all surface as
-//! typed [`PredictorError`] variants — never panics.
+//! verified before any decoding, in the same pass over the bytes that
+//! computes the whole-artifact content hash. Unknown section ids are
+//! ignored (forward compatibility within a version); *missing* required
+//! sections, short buffers, bad magic, checksum mismatches and version
+//! skew all surface as typed [`PredictorError`] variants — never panics.
 //!
 //! | id     | contents                                                      |
 //! |--------|---------------------------------------------------------------|
@@ -47,6 +48,7 @@ use crate::model::SatoVariant;
 use crate::predictor::{PredictorError, SatoPredictor};
 use sato_crf::LinearChainCrf;
 use sato_features::FeatureGroup;
+use sato_kernels::Fnv1a;
 use sato_nn::serialize::StateDict;
 use sato_topic::{LdaModel, SamplerKind, SparseAliasTables, TableIntentEstimator, TopicSampler};
 use serde::{Deserialize, Serialize};
@@ -97,6 +99,9 @@ struct BinaryMeta {
 /// bounds- and checksum-verified before being handed out.
 struct Sections<'a> {
     entries: Vec<([u8; 4], &'a [u8])>,
+    /// FNV-1a 64 over the whole artifact (the predictor's content hash),
+    /// taken in the walk that verifies the section checksums.
+    content_hash: u64,
 }
 
 impl<'a> Sections<'a> {
@@ -119,6 +124,13 @@ impl<'a> Sections<'a> {
         if bytes.len() < table_end {
             return Err(PredictorError::Truncated("section table"));
         }
+        // `to_bytes` lays payloads out in table order without overlap, so
+        // one walk over the file feeds the content hash and, two FNV states
+        // at a time, each section's checksum. From the first entry that
+        // breaks file order on, checksums are taken alone and the content
+        // hash in a second pass.
+        let mut content = Some(Fnv1a::new());
+        let mut hashed = 0;
         let mut entries = Vec::with_capacity(count);
         for i in 0..count {
             let at = HEADER_LEN + i * SECTION_ENTRY_LEN;
@@ -141,12 +153,35 @@ impl<'a> Sections<'a> {
                 .filter(|&e| e <= bytes.len())
                 .ok_or_else(|| PredictorError::Truncated(section_name(id)))?;
             let payload = &bytes[start..end];
-            if fnv1a64(payload) != checksum {
+            let sum = match &mut content {
+                Some(whole) if start >= hashed => {
+                    whole.write(&bytes[hashed..start]);
+                    let mut section = Fnv1a::new();
+                    whole.write_both(&mut section, payload);
+                    hashed = end;
+                    section.finish()
+                }
+                _ => {
+                    content = None;
+                    fnv1a64(payload)
+                }
+            };
+            if sum != checksum {
                 return Err(PredictorError::Checksum(section_name(id)));
             }
             entries.push((id, payload));
         }
-        Ok(Sections { entries })
+        let content_hash = match content {
+            Some(mut whole) => {
+                whole.write(&bytes[hashed..]);
+                whole.finish()
+            }
+            None => fnv1a64(bytes),
+        };
+        Ok(Sections {
+            entries,
+            content_hash,
+        })
     }
 
     fn get(&self, id: [u8; 4]) -> Option<&'a [u8]> {
@@ -369,13 +404,14 @@ impl SatoPredictor {
             encode_crf(crf, &mut crfp);
             sections.push((SEC_CRFP, crfp));
         }
-        match columnwise.sampler() {
-            TopicSampler::SparseAlias(tables) | TopicSampler::MetropolisHastings(tables) => {
-                let mut alia = Vec::new();
-                tables.write_bytes(&mut alia);
-                sections.push((SEC_ALIA, alia));
-            }
-            TopicSampler::Dense => {}
+        // The dense sampler's `phi` table is rebuilt at load (cheaper than
+        // storing it); the alias samplers' tables are stored.
+        if let Some(TopicSampler::SparseAlias(tables) | TopicSampler::MetropolisHastings(tables)) =
+            columnwise.topic_sampler()
+        {
+            let mut alia = Vec::new();
+            tables.write_bytes(&mut alia);
+            sections.push((SEC_ALIA, alia));
         }
         assemble(&sections)
     }
@@ -384,7 +420,15 @@ impl SatoPredictor {
     /// [`Self::to_bytes`]. The loaded predictor reproduces the predictions
     /// of the saved one bit for bit; for sparse-alias artifacts the
     /// pre-built Walker tables load straight from their section, skipping
-    /// the `O(topics × vocabulary)` rebuild.
+    /// the `O(topics × vocabulary)` rebuild, and for dense artifacts the
+    /// word-major `phi` table is built here, once.
+    ///
+    /// The bytes are hashed in one pass: the walk that verifies each
+    /// section's checksum also computes the content hash
+    /// ([`Self::content_hash`]) over the whole buffer, carrying two FNV
+    /// states at once. A section table that is out of file order or has
+    /// overlapping payloads (which `to_bytes` never writes) is still
+    /// accepted, at the cost of a second pass.
     ///
     /// Errors are typed, never panics: truncation, bad magic, version skew,
     /// per-section checksum mismatches, missing required sections,
@@ -453,29 +497,17 @@ impl SatoPredictor {
             }
             _ => None,
         };
-        let columnwise = match prebuilt {
-            Some(sampler) => FrozenColumnwise::from_state_with_sampler(
-                &meta.config,
-                meta.use_topic,
-                intent,
-                scalers,
-                meta.group_widths,
-                &net_state,
-                &head_state,
-                meta.sampler,
-                sampler,
-            )?,
-            None => FrozenColumnwise::from_state(
-                &meta.config,
-                meta.use_topic,
-                intent,
-                scalers,
-                meta.group_widths,
-                &net_state,
-                &head_state,
-                meta.sampler,
-            )?,
-        };
+        let columnwise = FrozenColumnwise::from_state(
+            &meta.config,
+            meta.use_topic,
+            intent,
+            scalers,
+            meta.group_widths,
+            &net_state,
+            &head_state,
+            meta.sampler,
+            prebuilt,
+        )?;
         // The content hash is taken over the exact bytes served from, not a
         // re-serialization: what was loaded is what the hash names.
         Ok(SatoPredictor::from_parts_hashed(
@@ -483,7 +515,7 @@ impl SatoPredictor {
             meta.config,
             columnwise,
             crf,
-            fnv1a64(bytes),
+            sections.content_hash,
         ))
     }
 
@@ -641,6 +673,138 @@ mod tests {
             SatoPredictor::from_bytes(&assemble(&without_net)),
             Err(PredictorError::MissingSection("NETW"))
         ));
+    }
+
+    /// The raw section table: `(id, offset, len, checksum)` per entry.
+    fn table_entries(bytes: &[u8]) -> Vec<([u8; 4], u64, u64, u64)> {
+        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        (0..count)
+            .map(|i| {
+                let at = HEADER_LEN + i * SECTION_ENTRY_LEN;
+                let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
+                (
+                    bytes[at..at + 4].try_into().unwrap(),
+                    u64_at(at + 4),
+                    u64_at(at + 12),
+                    u64_at(at + 20),
+                )
+            })
+            .collect()
+    }
+
+    /// Overwrite the section table in place (same entry count).
+    fn write_entries(bytes: &mut [u8], entries: &[([u8; 4], u64, u64, u64)]) {
+        for (i, (id, offset, len, checksum)) in entries.iter().enumerate() {
+            let at = HEADER_LEN + i * SECTION_ENTRY_LEN;
+            bytes[at..at + 4].copy_from_slice(id);
+            bytes[at + 4..at + 12].copy_from_slice(&offset.to_le_bytes());
+            bytes[at + 12..at + 20].copy_from_slice(&len.to_le_bytes());
+            bytes[at + 20..at + 28].copy_from_slice(&checksum.to_le_bytes());
+        }
+    }
+
+    /// The one-pass load hash is the FNV-1a of the whole buffer, for every
+    /// sampler's artifact (dense, and the alias samplers with their `ALIA`
+    /// section).
+    #[test]
+    fn load_hash_equals_fnv_of_the_bytes_for_every_sampler() {
+        for kind in [
+            SamplerKind::Dense,
+            SamplerKind::SparseAlias,
+            SamplerKind::MetropolisHastings,
+        ] {
+            let predictor = fresh_copy().with_sampler(kind);
+            let bytes = predictor.to_bytes();
+            assert_eq!(
+                Sections::parse(&bytes).unwrap().content_hash,
+                fnv1a64(&bytes)
+            );
+            let loaded = SatoPredictor::from_bytes(&bytes).unwrap();
+            assert_eq!(loaded.content_hash(), fnv1a64(&bytes), "{kind:?}");
+            assert_eq!(loaded.content_hash(), predictor.content_hash(), "{kind:?}");
+        }
+    }
+
+    /// A section table listed out of file order is outside what `to_bytes`
+    /// writes, but still loads: same predictions, the hash of the bytes as
+    /// given, and a corrupted payload still names its section.
+    #[test]
+    fn load_hash_accepts_a_reordered_section_table() {
+        let bytes = full_predictor().to_bytes();
+        let mut entries = table_entries(&bytes);
+        entries.reverse();
+        let mut reordered = bytes.clone();
+        write_entries(&mut reordered, &entries);
+        assert_ne!(reordered, bytes);
+        let loaded = SatoPredictor::from_bytes(&reordered).unwrap();
+        assert_eq!(loaded.content_hash(), fnv1a64(&reordered));
+        for table in corpus().iter().take(4) {
+            assert_eq!(
+                full_predictor().predict_proba(table),
+                loaded.predict_proba(table)
+            );
+        }
+        for (id, offset, len, _) in &entries {
+            if *len == 0 {
+                continue;
+            }
+            let mut flipped = reordered.clone();
+            flipped[*offset as usize] ^= 0x5A;
+            match SatoPredictor::from_bytes(&flipped) {
+                Err(PredictorError::Checksum(name)) => assert_eq!(name, section_name(*id)),
+                other => panic!("flipped {} gave {:?}", section_name(*id), other.err()),
+            }
+        }
+    }
+
+    /// Sections whose payloads overlap (an unknown section aliasing `META`)
+    /// are verified and hashed like any other table: a matching checksum
+    /// loads with the hash of the bytes, a mismatching one is named.
+    #[test]
+    fn load_hash_accepts_overlapping_sections() {
+        let bytes = full_predictor().to_bytes();
+        let sections = Sections::parse(&bytes).unwrap();
+        let mut with_extra: Vec<([u8; 4], Vec<u8>)> = sections
+            .entries
+            .iter()
+            .map(|(id, payload)| (*id, payload.to_vec()))
+            .collect();
+        with_extra.push((*b"XTRA", vec![0; 8]));
+        let mut overlapping = assemble(&with_extra);
+        let mut entries = table_entries(&overlapping);
+        let (_, meta_offset, meta_len, meta_sum) = entries[0];
+        assert_eq!(entries[0].0, SEC_META);
+        let last = entries.len() - 1;
+        entries[last] = (*b"XTRA", meta_offset, meta_len, meta_sum);
+        write_entries(&mut overlapping, &entries);
+        let loaded = SatoPredictor::from_bytes(&overlapping).unwrap();
+        assert_eq!(loaded.content_hash(), fnv1a64(&overlapping));
+        let table = &corpus().tables[0];
+        assert_eq!(full_predictor().predict(table), loaded.predict(table));
+
+        entries[last].3 ^= 1;
+        write_entries(&mut overlapping, &entries);
+        assert!(matches!(
+            SatoPredictor::from_bytes(&overlapping),
+            Err(PredictorError::Checksum("unknown section"))
+        ));
+    }
+
+    /// In the file-order layout `to_bytes` writes, a flipped byte in any
+    /// payload reports `Checksum` of exactly that section.
+    #[test]
+    fn load_hash_names_the_section_of_a_flipped_payload_byte() {
+        let bytes = full_predictor().to_bytes();
+        for (id, offset, len, _) in table_entries(&bytes) {
+            for at in [offset, offset + len / 2, offset + len - 1] {
+                let mut flipped = bytes.clone();
+                flipped[at as usize] ^= 0x01;
+                match SatoPredictor::from_bytes(&flipped) {
+                    Err(PredictorError::Checksum(name)) => assert_eq!(name, section_name(id)),
+                    other => panic!("flipped {} gave {:?}", section_name(id), other.err()),
+                }
+            }
+        }
     }
 
     #[test]

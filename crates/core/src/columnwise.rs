@@ -143,7 +143,9 @@ pub struct ColumnwiseModel {
     config: SatoConfig,
     use_topic: bool,
     extractor: FeatureExtractor,
-    intent: Option<TableIntentEstimator>,
+    /// The table intent estimator with its dense sampler, both built when
+    /// a topic-aware model is trained.
+    topic: Option<(TableIntentEstimator, TopicSampler)>,
     /// Branch subnetworks + primary trunk (everything up to the last hidden
     /// representation, i.e. the *column embedding* of Section 5.6).
     net: Option<MultiInputNetwork>,
@@ -172,7 +174,7 @@ impl ColumnwiseModel {
             config,
             use_topic,
             extractor,
-            intent: None,
+            topic: None,
             net: None,
             head: None,
             scalers: Vec::new(),
@@ -203,14 +205,14 @@ impl ColumnwiseModel {
 
     /// The table intent estimator (present after training a topic-aware model).
     pub fn intent_estimator(&self) -> Option<&TableIntentEstimator> {
-        self.intent.as_ref()
+        self.topic.as_ref().map(|(est, _)| est)
     }
 
     /// Extract the network inputs for a table (features + topic vector).
     /// Exposed so the permutation-importance experiment can shuffle feature
     /// groups before calling [`Self::predict_proba_from_inputs`].
     pub fn extract_inputs(&self, table: &Table) -> TableInputs {
-        TableInputs::extract(table, &self.extractor, self.intent.as_ref())
+        TableInputs::extract(table, &self.extractor, pair(&self.topic))
     }
 
     /// Immutable forward pass (evaluation mode) on pre-extracted inputs,
@@ -239,12 +241,13 @@ impl ColumnwiseModel {
         FrozenColumnwise::from_state(
             &self.config,
             self.use_topic,
-            self.intent.clone(),
+            self.intent_estimator().cloned(),
             self.scalers.clone(),
             self.group_widths.clone(),
             &net.state_dict(),
             &head.state_dict(),
             SamplerKind::Dense,
+            None,
         )
         .expect("snapshot of an identical architecture cannot fail")
     }
@@ -259,13 +262,12 @@ impl ColumnwiseModel {
         FrozenColumnwise {
             use_topic: self.use_topic,
             extractor: self.extractor,
-            intent: self.intent,
+            topic: self.topic,
             net,
             head,
             scalers: self.scalers,
             group_widths: self.group_widths,
             sampler_kind: SamplerKind::Dense,
-            sampler: TopicSampler::Dense,
         }
     }
 }
@@ -277,9 +279,10 @@ impl ColumnwiseTrainer for ColumnwiseModel {
     fn fit(&mut self, corpus: &Corpus) -> &[f32] {
         if self.use_topic {
             let estimator = TableIntentEstimator::fit(corpus, self.config.lda.clone());
-            self.intent = Some(estimator);
+            let dense = estimator.build_sampler(SamplerKind::Dense);
+            self.topic = Some((estimator, dense));
         }
-        let mut data = TrainingData::build(corpus, &self.extractor, self.intent.as_ref());
+        let mut data = TrainingData::build(corpus, &self.extractor, pair(&self.topic));
         assert!(!data.is_empty(), "cannot train on an empty corpus");
         // Standardise every feature group (Sherlock-style preprocessing); the
         // fitted scalers are reused at prediction time.
@@ -441,6 +444,15 @@ struct FillScratch {
     topic: TopicScratch,
 }
 
+impl FillScratch {
+    /// Grow every buffer to at least the capacity of the same buffer in
+    /// `other`.
+    fn grow_to(&mut self, other: &FillScratch) {
+        self.features.grow_to(&other.features);
+        self.topic.grow_to(&other.topic);
+    }
+}
+
 /// Reusable workspace for the corpus-batched serving path: feature
 /// extraction buffers, per-group batch input matrices, the network's
 /// ping-pong activation buffers, the flat probability matrix and the CRF
@@ -590,6 +602,13 @@ const GROUPS: usize = FeatureGroup::ALL.len() + 1;
 /// without topics).
 type GroupRows<'a> = [&'a mut [f32]; GROUPS];
 
+/// Borrow an owned (estimator, sampler) pair.
+fn pair(
+    topic: &Option<(TableIntentEstimator, TopicSampler)>,
+) -> Option<(&TableIntentEstimator, &TopicSampler)> {
+    topic.as_ref().map(|(est, sampler)| (est, sampler))
+}
+
 /// Row `row` of a row-major slice `w` floats wide.
 fn row_of(rows: &mut [f32], row: usize, w: usize) -> &mut [f32] {
     &mut rows[row * w..(row + 1) * w]
@@ -634,18 +653,17 @@ impl<'a, T: TableCells + ?Sized> Pending<'a, T> {
 pub struct FrozenColumnwise {
     use_topic: bool,
     extractor: FeatureExtractor,
-    intent: Option<TableIntentEstimator>,
+    /// The table intent estimator with the ready-to-run sampling strategy,
+    /// pre-built from `sampler_kind` against the estimator's frozen model
+    /// at freeze/load time.
+    topic: Option<(TableIntentEstimator, TopicSampler)>,
     net: MultiInputNetwork,
     head: Sequential,
     scalers: Vec<Standardizer>,
     group_widths: Vec<usize>,
-    /// The configured topic-sampler axis (serialized into artifacts).
+    /// The configured topic-sampler axis (serialized into artifacts; moot
+    /// for models without a topic estimator).
     sampler_kind: SamplerKind,
-    /// The ready-to-run sampling strategy, pre-built from `sampler_kind`
-    /// against the intent estimator's frozen model at freeze/load time
-    /// (`TopicSampler::Dense` for non-topic models, where the choice is
-    /// moot).
-    sampler: TopicSampler,
 }
 
 impl FrozenColumnwise {
@@ -656,7 +674,7 @@ impl FrozenColumnwise {
 
     /// The table intent estimator (present for topic-aware models).
     pub fn intent_estimator(&self) -> Option<&TableIntentEstimator> {
-        self.intent.as_ref()
+        self.topic.as_ref().map(|(est, _)| est)
     }
 
     /// The configured topic-sampler variant.
@@ -665,8 +683,20 @@ impl FrozenColumnwise {
     }
 
     /// The pre-built sampling strategy serving inference runs with.
+    ///
+    /// # Panics
+    ///
+    /// For a model without a table intent estimator ([`Self::intent_estimator`]
+    /// is `None`), which has no topic stage to sample for.
     pub fn sampler(&self) -> &TopicSampler {
-        &self.sampler
+        self.topic_sampler()
+            .expect("only a model with a table intent estimator has a topic sampler")
+    }
+
+    /// The pre-built sampling strategy, for models with an intent
+    /// estimator.
+    pub(crate) fn topic_sampler(&self) -> Option<&TopicSampler> {
+        self.topic.as_ref().map(|(_, sampler)| sampler)
     }
 
     /// Reconfigure the topic-sampler axis, rebuilding whatever pre-computed
@@ -677,10 +707,9 @@ impl FrozenColumnwise {
     /// predictions.
     pub(crate) fn with_sampler_kind(mut self, kind: SamplerKind) -> Self {
         self.sampler_kind = kind;
-        self.sampler = self
-            .intent
-            .as_ref()
-            .map_or(TopicSampler::Dense, |est| est.build_sampler(kind));
+        if let Some((est, sampler)) = &mut self.topic {
+            *sampler = est.build_sampler(kind);
+        }
         self
     }
 
@@ -692,7 +721,7 @@ impl FrozenColumnwise {
     /// Extract the network inputs for a table (features + topic vector,
     /// estimated with the configured sampler).
     pub fn extract_inputs(&self, table: &Table) -> TableInputs {
-        TableInputs::extract_sampled(table, &self.extractor, self.intent.as_ref(), &self.sampler)
+        TableInputs::extract(table, &self.extractor, pair(&self.topic))
     }
 
     /// Evaluation-mode forward pass on pre-extracted inputs.
@@ -804,13 +833,13 @@ impl FrozenColumnwise {
         for (group, &w) in groups.iter_mut().zip(widths) {
             group.resize(total_rows, w);
         }
-        let est = self.topic_estimator();
-        let k = est.map_or(0, |est| est.num_topics());
+        let topic = self.topic();
+        let k = topic.map_or(0, |(est, _)| est.num_topics());
         thetas.resize(tables.len() * k, 0.0);
 
         // Estimating topics is most of a batch's cost; features alone are
         // too cheap to pay for waking a helper.
-        let workers = match est {
+        let workers = match topic {
             Some(_) if tables.len() >= 2 => fanout.width().min(tables.len()),
             _ => 1,
         };
@@ -843,6 +872,17 @@ impl FrozenColumnwise {
                 }
             });
             fanout.run(&mut jobs[..workers]);
+            // Workers take tables dynamically, so each one's buffers grew
+            // only to fit the tables it happened to take. Grow them all to
+            // the largest any worker reached: once a batch has run warm,
+            // whichever worker takes one of its tables finds room for it.
+            let (first, rest) = fill.split_first_mut().expect("one scratch per worker");
+            for other in rest.iter() {
+                first.grow_to(other);
+            }
+            for other in rest {
+                other.grow_to(first);
+            }
         }
 
         if let Some(memo) = topic_memo.as_mut().filter(|_| k > 0) {
@@ -858,13 +898,10 @@ impl FrozenColumnwise {
         true
     }
 
-    /// The intent estimator, for topic-aware models only.
-    fn topic_estimator(&self) -> Option<&TableIntentEstimator> {
-        self.use_topic.then(|| {
-            self.intent
-                .as_ref()
-                .expect("topic-aware model carries an intent estimator")
-        })
+    /// The intent estimator and its sampler, for topic-aware models only.
+    fn topic(&self) -> Option<(&TableIntentEstimator, &TopicSampler)> {
+        self.use_topic
+            .then(|| pair(&self.topic).expect("topic-aware model carries an intent estimator"))
     }
 
     /// One fill worker: take tables from `pending` until none is left and
@@ -880,9 +917,9 @@ impl FrozenColumnwise {
         memo: Option<&TopicMemo>,
         scratch: &mut FillScratch,
     ) {
-        let est = self.topic_estimator();
+        let topic = self.topic();
         let w = &self.group_widths;
-        let k = est.map_or(0, |est| est.num_topics());
+        let k = topic.map_or(0, |(est, _)| est.num_topics());
         loop {
             // Recovering a poisoned lock is sound: at every step `take`
             // leaves the cursor holding disjoint slices of this batch.
@@ -899,12 +936,12 @@ impl FrozenColumnwise {
             // the serving layer contains it and quarantines the culprit.
             #[cfg(feature = "faults")]
             sato_faults::fire_panic("core.feature_extract", table.table_id());
-            if let Some(est) = est {
+            if let Some((est, sampler)) = topic {
                 match memo.and_then(|m| m.get(table.table_id())) {
                     Some(hit) => theta.copy_from_slice(hit),
                     None => {
                         theta.fill(0.0);
-                        est.estimate_cells_into(table, &self.sampler, &mut scratch.topic, theta);
+                        est.estimate_cells_into(table, sampler, &mut scratch.topic, theta);
                     }
                 }
             }
@@ -918,7 +955,7 @@ impl FrozenColumnwise {
                     row_of(g_para, c, w[2]),
                     row_of(g_stat, c, w[3]),
                 );
-                if est.is_some() {
+                if topic.is_some() {
                     row_of(g_topic, c, k).copy_from_slice(theta);
                 }
             }
@@ -950,7 +987,10 @@ impl FrozenColumnwise {
     /// Rebuild a frozen core from its serialized parts: the architecture is
     /// reconstructed from `config` + `group_widths`, the weights (and
     /// BatchNorm running statistics) loaded from the state dicts, and the
-    /// sampler's pre-computed state rebuilt from its serialized kind.
+    /// sampler of `sampler_kind` taken from `prebuilt` (the alias tables a
+    /// binary artifact stores) or, when `None`, built from the intent
+    /// estimator's frozen model. A caller passing `prebuilt` vouches that
+    /// it was built from the very intent model being loaded.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_state(
         config: &SatoConfig,
@@ -961,54 +1001,24 @@ impl FrozenColumnwise {
         net_state: &StateDict,
         head_state: &StateDict,
         sampler_kind: SamplerKind,
+        prebuilt: Option<TopicSampler>,
     ) -> Result<Self, LoadError> {
         let (mut net, mut head) = build_network(config, &group_widths);
         net.load_state_dict(net_state)?;
         head.load_state_dict(head_state)?;
+        let topic = intent.map(|est| {
+            let sampler = prebuilt.unwrap_or_else(|| est.build_sampler(sampler_kind));
+            (est, sampler)
+        });
         Ok(FrozenColumnwise {
             use_topic,
             extractor: FeatureExtractor::new(config.features.clone()),
-            intent,
-            net,
-            head,
-            scalers,
-            group_widths,
-            sampler_kind: SamplerKind::Dense,
-            sampler: TopicSampler::Dense,
-        }
-        .with_sampler_kind(sampler_kind))
-    }
-
-    /// [`Self::from_state`] with an **already-built** [`TopicSampler`]
-    /// (deserialized from a binary artifact's alias-table section), skipping
-    /// the `O(topics × vocabulary)` sampler rebuild that
-    /// [`Self::with_sampler_kind`] would perform. The caller vouches that
-    /// `sampler` was built from the very intent model being loaded.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_state_with_sampler(
-        config: &SatoConfig,
-        use_topic: bool,
-        intent: Option<TableIntentEstimator>,
-        scalers: Vec<Standardizer>,
-        group_widths: Vec<usize>,
-        net_state: &StateDict,
-        head_state: &StateDict,
-        sampler_kind: SamplerKind,
-        sampler: TopicSampler,
-    ) -> Result<Self, LoadError> {
-        let (mut net, mut head) = build_network(config, &group_widths);
-        net.load_state_dict(net_state)?;
-        head.load_state_dict(head_state)?;
-        Ok(FrozenColumnwise {
-            use_topic,
-            extractor: FeatureExtractor::new(config.features.clone()),
-            intent,
+            topic,
             net,
             head,
             scalers,
             group_widths,
             sampler_kind,
-            sampler,
         })
     }
 }

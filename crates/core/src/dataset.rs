@@ -54,58 +54,28 @@ pub struct TableInputs {
 }
 
 impl TableInputs {
-    /// Extract the inputs of a table (topic vector via the dense sampler).
+    /// Extract the inputs of a table: its column features and, for a
+    /// topic-aware model, the topic vector estimated by `topic`'s intent
+    /// estimator with its pre-built sampler.
     pub fn extract(
         table: &Table,
         extractor: &FeatureExtractor,
-        intent: Option<&TableIntentEstimator>,
+        topic: Option<(&TableIntentEstimator, &TopicSampler)>,
     ) -> Self {
-        Self::extract_with(table, extractor, intent, &mut FeatureScratch::new())
+        Self::extract_with(table, extractor, topic, &mut FeatureScratch::new())
     }
 
-    /// Extract the inputs of a table, reusing a feature-extraction workspace
-    /// across its columns (and, in corpus loops, across tables). The topic
-    /// vector uses the dense sampler (training and analysis paths are
-    /// sampler-agnostic; serving threads its configured sampler through
-    /// [`Self::extract_sampled`]).
+    /// [`Self::extract`] reusing a feature-extraction workspace across the
+    /// table's columns (and, in corpus loops, across tables).
     pub fn extract_with(
         table: &Table,
         extractor: &FeatureExtractor,
-        intent: Option<&TableIntentEstimator>,
-        scratch: &mut FeatureScratch,
-    ) -> Self {
-        Self::extract_sampled_with(table, extractor, intent, &TopicSampler::Dense, scratch)
-    }
-
-    /// [`Self::extract`] with an explicit topic-sampling strategy — the
-    /// serving-side entry point; with [`TopicSampler::Dense`] the output is
-    /// bit-identical to [`Self::extract`].
-    pub fn extract_sampled(
-        table: &Table,
-        extractor: &FeatureExtractor,
-        intent: Option<&TableIntentEstimator>,
-        sampler: &TopicSampler,
-    ) -> Self {
-        Self::extract_sampled_with(
-            table,
-            extractor,
-            intent,
-            sampler,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`Self::extract_sampled`] reusing a feature-extraction workspace.
-    pub fn extract_sampled_with(
-        table: &Table,
-        extractor: &FeatureExtractor,
-        intent: Option<&TableIntentEstimator>,
-        sampler: &TopicSampler,
+        topic: Option<(&TableIntentEstimator, &TopicSampler)>,
         scratch: &mut FeatureScratch,
     ) -> Self {
         TableInputs {
             columns: extractor.extract_table_with(table, scratch),
-            topic: intent.map(|est| est.estimate_sampled(table, sampler)),
+            topic: topic.map(|(est, sampler)| est.estimate_sampled(table, sampler)),
         }
     }
 
@@ -257,13 +227,15 @@ pub struct TrainingData {
 }
 
 impl TrainingData {
-    /// Build training data from a labelled corpus.
+    /// Build training data from a labelled corpus; `topic` carries a
+    /// topic-aware model's intent estimator with the sampler (built once
+    /// for the whole corpus) that estimates every table's topic vector.
     pub fn build(
         corpus: &Corpus,
         extractor: &FeatureExtractor,
-        intent: Option<&TableIntentEstimator>,
+        topic: Option<(&TableIntentEstimator, &TopicSampler)>,
     ) -> Self {
-        let include_topic = intent.is_some();
+        let include_topic = topic.is_some();
         let mut per_group_rows: Vec<Vec<f32>> = Vec::new();
         let mut widths: Vec<usize> = Vec::new();
         let mut labels = Vec::new();
@@ -274,7 +246,7 @@ impl TrainingData {
             if !table.is_labelled() {
                 continue;
             }
-            let inputs = TableInputs::extract_with(table, extractor, intent, &mut scratch);
+            let inputs = TableInputs::extract_with(table, extractor, topic, &mut scratch);
             let matrices = inputs.to_matrices(include_topic);
             if widths.is_empty() {
                 widths = matrices.iter().map(Matrix::cols).collect();
@@ -330,7 +302,7 @@ mod tests {
     use super::*;
     use sato_features::FeatureConfig;
     use sato_tabular::corpus::default_corpus;
-    use sato_topic::LdaConfig;
+    use sato_topic::{LdaConfig, SamplerKind};
 
     fn small_setup() -> (Corpus, FeatureExtractor, TableIntentEstimator) {
         let corpus = default_corpus(40, 3);
@@ -351,7 +323,8 @@ mod tests {
     fn table_inputs_have_one_feature_set_per_column() {
         let (corpus, extractor, intent) = small_setup();
         let table = &corpus.tables[0];
-        let inputs = TableInputs::extract(table, &extractor, Some(&intent));
+        let dense = intent.build_sampler(SamplerKind::Dense);
+        let inputs = TableInputs::extract(table, &extractor, Some((&intent, &dense)));
         assert_eq!(inputs.num_columns(), table.num_columns());
         assert!(inputs.topic.is_some());
         let matrices = inputs.to_matrices(true);
@@ -370,7 +343,8 @@ mod tests {
     #[test]
     fn training_data_row_count_equals_labelled_columns() {
         let (corpus, extractor, intent) = small_setup();
-        let data = TrainingData::build(&corpus, &extractor, Some(&intent));
+        let dense = intent.build_sampler(SamplerKind::Dense);
+        let data = TrainingData::build(&corpus, &extractor, Some((&intent, &dense)));
         assert_eq!(data.len(), corpus.num_columns());
         assert_eq!(data.groups.len(), 5);
         assert!(data.has_topic);
@@ -389,7 +363,8 @@ mod tests {
     #[test]
     fn rows_of_one_table_share_their_topic_vector() {
         let (corpus, extractor, intent) = small_setup();
-        let data = TrainingData::build(&corpus, &extractor, Some(&intent));
+        let dense = intent.build_sampler(SamplerKind::Dense);
+        let data = TrainingData::build(&corpus, &extractor, Some((&intent, &dense)));
         let topic_matrix = data.groups.last().unwrap();
         // Find a table with more than one column and compare its rows.
         let mut by_table: std::collections::HashMap<usize, Vec<usize>> = Default::default();

@@ -211,7 +211,13 @@ pub fn scoped() -> FaultGuard {
 pub fn fire(site: &str, key: u64) -> bool {
     let action = {
         let mut reg = registry();
-        let state = reg.entry(site.to_string()).or_default();
+        // Look the site up by `&str` first: only the first hit of a site
+        // allocates its owned key, so an unarmed site stays allocation-free
+        // on the hot paths it instruments.
+        if !reg.contains_key(site) {
+            reg.insert(site.to_string(), SiteState::default());
+        }
+        let state = reg.get_mut(site).expect("site registered above");
         state.hits += 1;
         let Some(plan) = &state.plan else {
             return false;

@@ -167,6 +167,43 @@ impl FeatureScratch {
         Self::default()
     }
 
+    /// Grow every buffer to at least the capacity of the same buffer in
+    /// `other` (never shrinks, allocates only when a buffer is smaller).
+    /// Workers that take a batch's tables dynamically call this on each
+    /// other's scratches, so whichever worker meets a column, its buffers
+    /// already fit the largest one any worker has seen. Exact reservations
+    /// make two scratches grown to each other settle on equal capacities.
+    pub fn grow_to(&mut self, other: &FeatureScratch) {
+        fn grow<T>(buf: &mut Vec<T>, capacity: usize) {
+            if buf.capacity() < capacity {
+                buf.reserve_exact(capacity - buf.len());
+            }
+        }
+        fn grow_string(buf: &mut String, capacity: usize) {
+            if buf.capacity() < capacity {
+                buf.reserve_exact(capacity - buf.len());
+            }
+        }
+        grow(&mut self.char_counts, other.char_counts.capacity());
+        grow(&mut self.lengths, other.lengths.capacity());
+        grow(&mut self.token_counts, other.token_counts.capacity());
+        grow(&mut self.flags, other.flags.capacity());
+        grow(&mut self.digit_fracs, other.digit_fracs.capacity());
+        grow(&mut self.numeric, other.numeric.capacity());
+        grow(&mut self.sort_idx, other.sort_idx.capacity());
+        grow_string(&mut self.parse_buf, other.parse_buf.capacity());
+        grow(&mut self.token_chars, other.token_chars.capacity());
+        grow(&mut self.token_vec, other.token_vec.capacity());
+        if self.para_map.capacity() < other.para_map.capacity() {
+            self.para_map
+                .reserve(other.para_map.capacity() - self.para_map.len());
+        }
+        grow(&mut self.para_entries, other.para_entries.capacity());
+        grow(&mut self.para_arena, other.para_arena.capacity());
+        grow(&mut self.para_order, other.para_order.capacity());
+        grow_string(&mut self.para_token, other.para_token.capacity());
+    }
+
     /// Scan every cell of `column` once, filling the per-cell histograms and
     /// statistics the Char and Stat groups aggregate.
     ///

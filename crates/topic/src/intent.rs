@@ -2,7 +2,7 @@
 //! model that maps a table's values to a fixed-length *table topic vector*
 //! shared by every column of the table.
 
-use crate::lda::{LdaConfig, LdaInferScratch, LdaModel};
+use crate::lda::{grow_to, LdaConfig, LdaInferScratch, LdaModel};
 use crate::sampler::{SamplerKind, TopicSampler};
 use sato_tabular::table::{Corpus, Table, TableCells};
 use serde::{Deserialize, Serialize};
@@ -25,6 +25,20 @@ impl TopicScratch {
     /// A fresh workspace with empty (but growable) buffers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Grow every buffer to at least the capacity of the same buffer in
+    /// `other` (never shrinks, allocates only when a buffer is smaller).
+    /// Workers that take a batch's tables dynamically call this on each
+    /// other's scratches, so whichever worker meets a table, its buffers
+    /// already fit the largest one any worker has seen.
+    pub fn grow_to(&mut self, other: &TopicScratch) {
+        grow_to(&mut self.tokens, other.tokens.capacity());
+        if self.token_buf.capacity() < other.token_buf.capacity() {
+            self.token_buf
+                .reserve_exact(other.token_buf.capacity() - self.token_buf.len());
+        }
+        self.infer.grow_to(&other.infer);
     }
 }
 
@@ -60,29 +74,44 @@ impl TableIntentEstimator {
     ///
     /// This is the **reference path**: it materializes the table as one
     /// document string ([`Table::as_document`]), re-tokenizes it with
-    /// per-token `String`s and allocates fresh inference buffers. It is kept
-    /// as the parity oracle (and benchmark baseline) for the streaming
+    /// per-token `String`s and allocates fresh inference buffers — and,
+    /// being one-shot, builds the dense sampler for this table alone. It is
+    /// kept as the parity oracle (and benchmark baseline) for the streaming
     /// [`Self::estimate_with`] path, like `sato_features::reference`.
     pub fn estimate(&self, table: &Table) -> Vec<f32> {
         self.model.infer(&table.as_document())
     }
 
-    /// Estimate topic vectors for every table of a corpus (reference path;
-    /// see [`Self::estimate`]).
+    /// Estimate topic vectors for every table of a corpus on the reference
+    /// path (see [`Self::estimate`]), building the dense sampler once for
+    /// the whole corpus.
     pub fn estimate_corpus(&self, corpus: &Corpus) -> Vec<Vec<f32>> {
-        corpus.iter().map(|t| self.estimate(t)).collect()
+        let dense = self.build_sampler(SamplerKind::Dense);
+        let seed = self.model.default_infer_seed();
+        corpus
+            .iter()
+            .map(|table| {
+                let tokens = self.model.vocabulary().encode(&table.as_document());
+                let mut out = vec![0.0f32; self.num_topics()];
+                let mut infer = LdaInferScratch::new();
+                self.model
+                    .infer_tokens_into(&tokens, seed, &dense, &mut infer, &mut out);
+                out
+            })
+            .collect()
     }
 
     /// Build a ready-to-run [`TopicSampler`] for this estimator's model
-    /// (see [`LdaModel::sampler`]); `SparseAlias` pre-builds the per-word
-    /// alias tables once, at predictor freeze/load time.
+    /// (see [`LdaModel::sampler`]): the word-major `phi` table, plus the
+    /// per-word alias tables for the alias samplers. Build it once per
+    /// frozen model and share it, never per table.
     pub fn build_sampler(&self, kind: SamplerKind) -> TopicSampler {
         self.model.sampler(kind)
     }
 
     /// Estimate the topic vector of a table with an explicit sampling
     /// strategy (allocating convenience over [`Self::estimate_into`]).
-    /// With [`TopicSampler::Dense`] the output is bit-identical to
+    /// With the dense sampler the output is bit-identical to
     /// [`Self::estimate`].
     pub fn estimate_sampled(&self, table: &Table, sampler: &TopicSampler) -> Vec<f32> {
         let mut out = vec![0.0f32; self.num_topics()];
@@ -93,9 +122,8 @@ impl TableIntentEstimator {
     /// Streaming, allocation-lean estimate: walks the table's cell values
     /// directly (no `as_document` mega-string), encodes tokens by `&str`
     /// lookup (no per-token `String`) and runs Gibbs inference with the
-    /// given sampling strategy in the caller's scratch. With
-    /// [`TopicSampler::Dense`] the output is **bit-identical** to
-    /// [`Self::estimate`].
+    /// given sampling strategy in the caller's scratch. With the dense
+    /// sampler the output is **bit-identical** to [`Self::estimate`].
     pub fn estimate_with(
         &self,
         table: &Table,
@@ -146,7 +174,7 @@ impl TableIntentEstimator {
 
     /// Estimate topic vectors for every table of a corpus through one shared
     /// scratch — the corpus-batched counterpart of [`Self::estimate_corpus`],
-    /// bit-identical to it under [`TopicSampler::Dense`].
+    /// bit-identical to it under the dense sampler.
     pub fn estimate_corpus_with(
         &self,
         corpus: &Corpus,
@@ -202,11 +230,16 @@ mod tests {
     fn streaming_estimate_is_bit_identical_to_reference() {
         use sato_tabular::table::{Column, Table};
         let est = estimator();
+        let dense = est.build_sampler(SamplerKind::Dense);
         let corpus = default_corpus(12, 5);
         let mut scratch = TopicScratch::new();
         assert_eq!(
             est.estimate_corpus(&corpus),
-            est.estimate_corpus_with(&corpus, &TopicSampler::Dense, &mut scratch)
+            est.estimate_corpus_with(&corpus, &dense, &mut scratch)
+        );
+        assert_eq!(
+            est.estimate_corpus(&corpus),
+            corpus.iter().map(|t| est.estimate(t)).collect::<Vec<_>>()
         );
         // Edge cases: empty table, one-token table, OOV-only table.
         let edge_tables = [
@@ -218,13 +251,13 @@ mod tests {
         for table in &edge_tables {
             assert_eq!(
                 est.estimate(table),
-                est.estimate_with(table, &TopicSampler::Dense, &mut scratch),
+                est.estimate_with(table, &dense, &mut scratch),
                 "streaming estimate diverged on table {}",
                 table.id
             );
             assert_eq!(
                 est.estimate(table),
-                est.estimate_sampled(table, &TopicSampler::Dense),
+                est.estimate_sampled(table, &dense),
                 "allocating sampled estimate diverged on table {}",
                 table.id
             );

@@ -6,7 +6,9 @@
 //! experiments default to fewer), and inference for unseen tables runs a few
 //! Gibbs sweeps against the frozen topic–word counts.
 
-use crate::sampler::{pick_bucket, sample_discrete, SamplerKind, SparseAliasTables, TopicSampler};
+use crate::sampler::{
+    pick_bucket, sample_discrete, PhiTable, SamplerKind, SparseAliasTables, TopicSampler,
+};
 use crate::vocab::Vocabulary;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -237,7 +239,9 @@ impl LdaModel {
     /// document by Gibbs sampling against the frozen topic–word counts.
     ///
     /// The result is a probability vector of length `num_topics`; documents
-    /// with no known tokens return the uniform distribution.
+    /// with no known tokens return the uniform distribution. A one-shot
+    /// call: it builds the dense sampler's [`PhiTable`] for this document
+    /// alone (see [`Self::infer_tokens`]).
     pub fn infer(&self, document: &str) -> Vec<f32> {
         let tokens = self.vocab.encode(document);
         self.infer_tokens(&tokens, self.default_infer_seed())
@@ -249,13 +253,13 @@ impl LdaModel {
         self.infer_tokens(&tokens, seed)
     }
 
-    /// Build a ready-to-run [`TopicSampler`] for this model. `Dense` has no
-    /// state; `SparseAlias` pre-builds the per-word alias tables from the
-    /// frozen topic–word term (`O(K·V)`, once per frozen model — never on
-    /// the per-token hot path).
+    /// Build a ready-to-run [`TopicSampler`] for this model: the word-major
+    /// [`PhiTable`] for `Dense`, plus the per-word alias tables for the
+    /// alias samplers (`O(K·V)` time and `K·V·8` bytes of `phi`, once per
+    /// frozen model — never per table or on the per-token hot path).
     pub fn sampler(&self, kind: SamplerKind) -> TopicSampler {
         match kind {
-            SamplerKind::Dense => TopicSampler::Dense,
+            SamplerKind::Dense => TopicSampler::Dense(Box::new(PhiTable::build(self))),
             SamplerKind::SparseAlias => {
                 TopicSampler::SparseAlias(Box::new(SparseAliasTables::build(self)))
             }
@@ -268,14 +272,17 @@ impl LdaModel {
     /// Infer the topic distribution of a pre-encoded document with the
     /// dense sampler.
     ///
-    /// Allocates fresh working buffers per call; hot loops should reuse an
-    /// [`LdaInferScratch`] via [`Self::infer_tokens_into`], which this wraps.
+    /// A one-shot call: it builds the dense sampler (an `O(K·V)`
+    /// [`PhiTable`]) and fresh working buffers for this document alone.
+    /// Loops over many documents build the sampler once with
+    /// [`Self::sampler`] and reuse an [`LdaInferScratch`] via
+    /// [`Self::infer_tokens_into`], which this wraps.
     pub fn infer_tokens(&self, tokens: &[usize], seed: u64) -> Vec<f32> {
         let mut out = vec![0.0f32; self.config.num_topics];
         self.infer_tokens_into(
             tokens,
             seed,
-            &TopicSampler::Dense,
+            &self.sampler(SamplerKind::Dense),
             &mut LdaInferScratch::new(),
             &mut out,
         );
@@ -310,7 +317,7 @@ impl LdaModel {
             return;
         }
         match sampler {
-            TopicSampler::Dense => self.infer_dense(tokens, seed, scratch, out),
+            TopicSampler::Dense(phi) => self.infer_dense(tokens, seed, phi, scratch, out),
             TopicSampler::SparseAlias(tables) => {
                 self.infer_sparse_alias(tokens, seed, tables, scratch, out)
             }
@@ -320,20 +327,22 @@ impl LdaModel {
         }
     }
 
-    /// The collapsed dense sweep: `O(K)` per token, bit-identical to the
-    /// historical single-path implementation (the parity oracle).
+    /// The collapsed dense sweep: `O(K)` per token, each token reading its
+    /// word's contiguous row of the pre-built word-major `phi` table. The
+    /// weights, their summation order and the RNG draws are those of the
+    /// historical strided sweep, so the output is bit-identical to it (the
+    /// parity oracle the other samplers are measured against).
     fn infer_dense(
         &self,
         tokens: &[usize],
         seed: u64,
+        phi: &PhiTable,
         scratch: &mut LdaInferScratch,
         out: &mut [f32],
     ) {
         let k = self.config.num_topics;
-        let v = self.vocab.len().max(1);
+        phi.assert_matches(k, self.vocab.len());
         let alpha = self.config.alpha;
-        let beta = self.config.beta;
-        let v_beta = beta * v as f64;
         let mut rng = StdRng::seed_from_u64(seed);
 
         let LdaInferScratch {
@@ -362,6 +371,64 @@ impl LdaModel {
                 let old = assignments[i];
                 doc_topic[old] -= 1;
                 let mut total = 0.0;
+                for ((wt, &p), &n) in weights.iter_mut().zip(phi.row(w)).zip(doc_topic.iter()) {
+                    *wt = p * (n as f64 + alpha);
+                    total += *wt;
+                }
+                let new = sample_discrete(weights, total, &mut rng);
+                assignments[i] = new;
+                doc_topic[new] += 1;
+            }
+            if iter >= burn_in {
+                for t in 0..k {
+                    accum[t] += (doc_topic[t] as f64 + alpha) / denom;
+                }
+            }
+        }
+        finish_theta(&self.config, tokens.len(), scratch, out);
+    }
+
+    /// The historical strided dense sweep, which recomputes
+    /// `phi = (n_{t,w} + β) / (n_t + V·β)` per token and topic from the
+    /// topic-major counts. Kept only as the reference oracle the table
+    /// kernel ([`Self::infer_dense`]) is tested against bit for bit.
+    #[cfg(test)]
+    fn infer_dense_strided(&self, tokens: &[usize], seed: u64, out: &mut [f32]) {
+        let k = self.config.num_topics;
+        assert_eq!(out.len(), k, "topic output width mismatch");
+        if tokens.is_empty() {
+            out.fill(1.0 / k as f32);
+            return;
+        }
+        let v = self.vocab.len().max(1);
+        let alpha = self.config.alpha;
+        let beta = self.config.beta;
+        let v_beta = beta * v as f64;
+        let mut rng = StdRng::seed_from_u64(seed);
+
+        let mut scratch = LdaInferScratch::new();
+        let LdaInferScratch {
+            doc_topic,
+            assignments,
+            weights,
+            accum,
+            ..
+        } = &mut scratch;
+        doc_topic.resize(k, 0);
+        assignments.extend(tokens.iter().map(|_| rng.gen_range(0..k)));
+        for &z in assignments.iter() {
+            doc_topic[z] += 1;
+        }
+        weights.resize(k, 0.0);
+        accum.resize(k, 0.0);
+        let denom = tokens.len() as f64 + alpha * k as f64;
+        let burn_in = self.config.infer_iterations / 2;
+
+        for iter in 0..self.config.infer_iterations {
+            for (i, &w) in tokens.iter().enumerate() {
+                let old = assignments[i];
+                doc_topic[old] -= 1;
+                let mut total = 0.0;
                 for (t, wt) in weights.iter_mut().enumerate() {
                     let phi = (self.topic_word[t * v + w] as f64 + beta)
                         / (self.topic_totals[t] as f64 + v_beta);
@@ -379,7 +446,7 @@ impl LdaModel {
                 }
             }
         }
-        finish_theta(&self.config, tokens.len(), scratch, out);
+        finish_theta(&self.config, tokens.len(), &scratch, out);
     }
 
     /// The sparse/alias sweep: the conditional
@@ -397,7 +464,7 @@ impl LdaModel {
         out: &mut [f32],
     ) {
         let k = self.config.num_topics;
-        tables.assert_matches(k, self.vocab.len());
+        tables.phi().assert_matches(k, self.vocab.len());
         let alpha = self.config.alpha;
         let mut rng = StdRng::seed_from_u64(seed);
 
@@ -446,7 +513,7 @@ impl LdaModel {
                     topic_pos[old] = 0;
                 }
                 // Document part: O(k_d) fused weight fill + mass.
-                let phi_row = tables.phi_row(w);
+                let phi_row = tables.phi().row(w);
                 let mut r = 0.0;
                 for (slot, &t) in nz_topics.iter().enumerate() {
                     let wt = doc_topic[t] as f64 * phi_row[t];
@@ -522,7 +589,7 @@ impl LdaModel {
         /// proposal); still O(1) per token.
         const MH_CYCLES: usize = 1;
         let k = self.config.num_topics;
-        tables.assert_matches(k, self.vocab.len());
+        tables.phi().assert_matches(k, self.vocab.len());
         let alpha = self.config.alpha;
         let mut rng = StdRng::seed_from_u64(seed);
 
@@ -572,7 +639,7 @@ impl LdaModel {
                     }
                     topic_pos[old] = 0;
                 }
-                let phi_row = tables.phi_row(w);
+                let phi_row = tables.phi().row(w);
                 let mut s = old;
 
                 for _ in 0..MH_CYCLES {
@@ -695,6 +762,26 @@ impl LdaInferScratch {
     /// A fresh workspace with empty (but growable) buffers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Grow every buffer to at least the capacity of the same buffer in
+    /// `other` (see `TopicScratch::grow_to`).
+    pub(crate) fn grow_to(&mut self, other: &LdaInferScratch) {
+        grow_to(&mut self.doc_topic, other.doc_topic.capacity());
+        grow_to(&mut self.assignments, other.assignments.capacity());
+        grow_to(&mut self.weights, other.weights.capacity());
+        grow_to(&mut self.accum, other.accum.capacity());
+        grow_to(&mut self.nz_topics, other.nz_topics.capacity());
+        grow_to(&mut self.topic_pos, other.topic_pos.capacity());
+    }
+}
+
+/// Grow `buf` to at least `capacity` elements. `reserve_exact` lands on
+/// exactly `capacity`, so two workspaces grown to each other settle on equal
+/// capacities instead of doubling past one another.
+pub(crate) fn grow_to<T>(buf: &mut Vec<T>, capacity: usize) {
+    if buf.capacity() < capacity {
+        buf.reserve_exact(capacity - buf.len());
     }
 }
 
@@ -862,6 +949,7 @@ mod tests {
     #[test]
     fn scratch_inference_is_bit_identical_and_reusable() {
         let model = LdaModel::fit(&themed_documents(), 1, LdaConfig::tiny());
+        let dense = model.sampler(SamplerKind::Dense);
         let mut scratch = LdaInferScratch::new();
         let mut out = vec![0.0f32; model.num_topics()];
         let docs = [
@@ -874,13 +962,7 @@ mod tests {
         for doc in docs {
             let tokens = model.vocabulary().encode(doc);
             for seed in [0u64, 7, 12345] {
-                model.infer_tokens_into(
-                    &tokens,
-                    seed,
-                    &TopicSampler::Dense,
-                    &mut scratch,
-                    &mut out,
-                );
+                model.infer_tokens_into(&tokens, seed, &dense, &mut scratch, &mut out);
                 assert_eq!(
                     out,
                     model.infer_tokens(&tokens, seed),
@@ -945,6 +1027,7 @@ mod tests {
     fn sparse_alias_sampler_is_close_to_dense() {
         let model = LdaModel::fit(&themed_documents(), 1, LdaConfig::tiny());
         let sampler = model.sampler(SamplerKind::SparseAlias);
+        let dense_sampler = model.sampler(SamplerKind::Dense);
         let mut scratch = LdaInferScratch::new();
         let k = model.num_topics();
         let (mut dense, mut sparse) = (vec![0.0f32; k], vec![0.0f32; k]);
@@ -954,13 +1037,7 @@ mod tests {
         let mut l1 = 0.0f32;
         let seeds = [1u64, 2, 3, 4, 5];
         for &seed in &seeds {
-            model.infer_tokens_into(
-                &tokens,
-                seed,
-                &TopicSampler::Dense,
-                &mut scratch,
-                &mut dense,
-            );
+            model.infer_tokens_into(&tokens, seed, &dense_sampler, &mut scratch, &mut dense);
             model.infer_tokens_into(&tokens, seed, &sampler, &mut scratch, &mut sparse);
             l1 += dense
                 .iter()
@@ -993,7 +1070,8 @@ mod tests {
         // With zero sweeps only the (identically seeded) initial assignment
         // matters, so the two samplers agree exactly.
         let mut dense = vec![0.0f32; model.num_topics()];
-        model.infer_tokens_into(&tokens, 3, &TopicSampler::Dense, &mut scratch, &mut dense);
+        let dense_sampler = model.sampler(SamplerKind::Dense);
+        model.infer_tokens_into(&tokens, 3, &dense_sampler, &mut scratch, &mut dense);
         assert_eq!(out, dense);
     }
 
@@ -1053,6 +1131,7 @@ mod tests {
     fn mh_sampler_is_close_to_dense() {
         let model = LdaModel::fit(&themed_documents(), 1, LdaConfig::tiny());
         let sampler = model.sampler(SamplerKind::MetropolisHastings);
+        let dense_sampler = model.sampler(SamplerKind::Dense);
         let mut scratch = LdaInferScratch::new();
         let k = model.num_topics();
         let (mut dense, mut mh) = (vec![0.0f32; k], vec![0.0f32; k]);
@@ -1062,13 +1141,7 @@ mod tests {
         let mut l1 = 0.0f32;
         let seeds = [1u64, 2, 3, 4, 5];
         for &seed in &seeds {
-            model.infer_tokens_into(
-                &tokens,
-                seed,
-                &TopicSampler::Dense,
-                &mut scratch,
-                &mut dense,
-            );
+            model.infer_tokens_into(&tokens, seed, &dense_sampler, &mut scratch, &mut dense);
             model.infer_tokens_into(&tokens, seed, &sampler, &mut scratch, &mut mh);
             l1 += dense
                 .iter()
@@ -1101,7 +1174,110 @@ mod tests {
         // With zero sweeps only the (identically seeded) initial assignment
         // matters, so MH and Dense agree bit-for-bit.
         let mut dense = vec![0.0f32; model.num_topics()];
-        model.infer_tokens_into(&tokens, 3, &TopicSampler::Dense, &mut scratch, &mut dense);
+        let dense_sampler = model.sampler(SamplerKind::Dense);
+        model.infer_tokens_into(&tokens, 3, &dense_sampler, &mut scratch, &mut dense);
         assert_eq!(out, dense);
+    }
+    /// Documents the dense parity and golden tests run over: multi-token,
+    /// single-token, unknown-only (no tokens after encoding), empty, and
+    /// mixed-theme documents.
+    const PARITY_DOCS: [&str; 6] = [
+        "rock jazz blues artist album",
+        "warsaw",
+        "zzzz qqqq entirely unknown",
+        "",
+        "warsaw london paris rock jazz city",
+        "guitar song melody river capital europe country album rock warsaw",
+    ];
+
+    /// The word-major table kernel reproduces the strided oracle bit for
+    /// bit: every vocabulary word alone and all words in one document,
+    /// the parity documents (empty, unknown-only and single-token among
+    /// them), `K ∈ {2, 8, 64}` and `infer_iterations ∈ {0, 1, 15}`.
+    #[test]
+    fn dense_kernel_matches_strided_oracle_bit_for_bit() {
+        for num_topics in [2usize, 8, 64] {
+            for infer_iterations in [0usize, 1, 15] {
+                let cfg = LdaConfig {
+                    num_topics,
+                    infer_iterations,
+                    ..LdaConfig::tiny()
+                };
+                let model = LdaModel::fit(&themed_documents(), 1, cfg);
+                let dense = model.sampler(SamplerKind::Dense);
+                let mut scratch = LdaInferScratch::new();
+                let (mut got, mut want) = (vec![0.0f32; num_topics], vec![0.0f32; num_topics]);
+                let vocab_len = model.vocabulary().len();
+                let mut documents: Vec<Vec<usize>> = (0..vocab_len).map(|w| vec![w]).collect();
+                documents.push((0..vocab_len).collect());
+                documents.extend(PARITY_DOCS.iter().map(|d| model.vocabulary().encode(d)));
+                for tokens in &documents {
+                    for seed in [0u64, 7, 12345] {
+                        model.infer_tokens_into(tokens, seed, &dense, &mut scratch, &mut got);
+                        model.infer_dense_strided(tokens, seed, &mut want);
+                        assert_eq!(
+                            got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                            want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                            "K {num_topics}, {infer_iterations} sweeps, tokens {tokens:?}, seed {seed}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// FNV-1a digest of the theta bits every sampler produces for fixed
+    /// tiny models (`K ∈ {2, 8, 64}`, `infer_iterations ∈ {0, 1, 15}`), the
+    /// parity documents and three seeds.
+    fn theta_digest(make: impl Fn(&LdaModel) -> TopicSampler) -> u64 {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for num_topics in [2usize, 8, 64] {
+            for infer_iterations in [0usize, 1, 15] {
+                let cfg = LdaConfig {
+                    num_topics,
+                    infer_iterations,
+                    ..LdaConfig::tiny()
+                };
+                let model = LdaModel::fit(&themed_documents(), 1, cfg);
+                let sampler = make(&model);
+                let mut scratch = LdaInferScratch::new();
+                let mut out = vec![0.0f32; num_topics];
+                for doc in PARITY_DOCS {
+                    let tokens = model.vocabulary().encode(doc);
+                    for seed in [0u64, 7, 12345] {
+                        model.infer_tokens_into(&tokens, seed, &sampler, &mut scratch, &mut out);
+                        for x in &out {
+                            for b in x.to_bits().to_le_bytes() {
+                                digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        digest
+    }
+
+    /// Golden digests recorded with the strided dense sweep and the alias
+    /// samplers' element-by-element `phi` fill: the table kernel and the
+    /// shared table builder leave every sampler's output unchanged.
+    #[test]
+    fn dense_kernel_golden_theta_digest() {
+        assert_eq!(
+            theta_digest(|m| m.sampler(SamplerKind::Dense)),
+            0xa931_b3e4_3200_5edf
+        );
+    }
+
+    #[test]
+    fn sampler_outputs_match_golden_theta_digests() {
+        assert_eq!(
+            theta_digest(|m| m.sampler(SamplerKind::SparseAlias)),
+            0x67e4_89b7_90ec_8128
+        );
+        assert_eq!(
+            theta_digest(|m| m.sampler(SamplerKind::MetropolisHastings)),
+            0x1cdb_5fe4_d4e0_bf04
+        );
     }
 }

@@ -28,6 +28,6 @@ pub mod vocab;
 pub use intent::{TableIntentEstimator, TopicScratch};
 pub use lda::{LdaConfig, LdaInferScratch, LdaModel};
 pub use saliency::{analyze_topics, TopicSummary, TopicTypeAnalysis};
-pub use sampler::{SamplerKind, SparseAliasTables, TopicSampler};
+pub use sampler::{PhiTable, SamplerKind, SparseAliasTables, TopicSampler};
 pub use serialize::TopicBytesError;
 pub use vocab::Vocabulary;

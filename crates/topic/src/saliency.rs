@@ -7,7 +7,8 @@
 //! mean probability of those top-k types — so that "flat" topics that do not
 //! discriminate between types sink to the bottom.
 
-use crate::intent::TableIntentEstimator;
+use crate::intent::{TableIntentEstimator, TopicScratch};
+use crate::sampler::SamplerKind;
 use sato_tabular::table::Corpus;
 use sato_tabular::types::{SemanticType, NUM_TYPES};
 use serde::{Deserialize, Serialize};
@@ -45,11 +46,13 @@ pub fn analyze_topics(
     let mut type_topic = vec![vec![0.0f64; num_topics]; NUM_TYPES];
     let mut type_counts = vec![0usize; NUM_TYPES];
 
+    let dense = estimator.build_sampler(SamplerKind::Dense);
+    let mut scratch = TopicScratch::new();
     for table in corpus.iter() {
         if !table.is_labelled() {
             continue;
         }
-        let theta = estimator.estimate(table);
+        let theta = estimator.estimate_with(table, &dense, &mut scratch);
         // A type present several times in one table still counts once, the
         // table-level θ being the unit of aggregation.
         let mut seen = [false; NUM_TYPES];

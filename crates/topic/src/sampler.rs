@@ -3,12 +3,18 @@
 //!
 //! Serving inference samples each token's topic from the full conditional
 //! `p(z = t) ∝ phi_w(t) · (n_{d,t} + α)` against **frozen** topic–word
-//! counts (only the document–topic counts change between sweeps). Two
-//! strategies implement that draw:
+//! counts (only the document–topic counts change between sweeps). Every
+//! strategy reads `phi` from one pre-built [`PhiTable`]: the frozen
+//! topic–word probabilities, word-major, so one token's `K` values are one
+//! contiguous row. It is built once per frozen model (at freeze or artifact
+//! load, never per table) and costs `K · V · 8` bytes — 0.92 MiB for 64
+//! topics over a 1,893-word vocabulary. Three strategies implement the
+//! draw:
 //!
-//! * [`TopicSampler::Dense`] — the collapsed dense sweep: recompute all `K`
-//!   weights per token, `O(K)` per token. Bit-identical to the historical
-//!   implementation; it is the parity oracle every other sampler is
+//! * [`TopicSampler::Dense`] — the collapsed dense sweep: all `K` weights
+//!   per token, `O(K)` per token, read off the token's word-major `phi`
+//!   row. Bit-identical to the historical strided sweep that recomputed
+//!   `phi` per token; it is the parity oracle every other sampler is
 //!   measured against.
 //! * [`TopicSampler::SparseAlias`] — a SparseLDA/alias-table hybrid. The
 //!   conditional splits into a *static* part `α · phi_w(t)` (frozen, so it
@@ -30,7 +36,8 @@
 //!
 //! The sampler is an enum-dispatched strategy (not `dyn`) so the per-token
 //! hot loops stay monomorphized; the serialized artifact only records the
-//! [`SamplerKind`] and the alias tables are rebuilt at load time.
+//! [`SamplerKind`] (plus, for the alias samplers, their tables), and the
+//! dense table is rebuilt at load time.
 
 use crate::lda::LdaModel;
 use rand::rngs::StdRng;
@@ -64,15 +71,17 @@ impl SamplerKind {
     }
 }
 
-/// A ready-to-run topic-sampling strategy: [`SamplerKind`] plus whatever
-/// pre-built state the strategy needs. Built once per frozen model (at
+/// A ready-to-run topic-sampling strategy: [`SamplerKind`] plus the
+/// pre-built state the strategy reads. Built once per frozen model (at
 /// `into_predictor()` / artifact-load time) with [`LdaModel::sampler`] and
 /// shared by reference across serving threads (`Send + Sync`, no interior
-/// mutability).
+/// mutability). Every variant carries a word-major [`PhiTable`]
+/// (`K · V · 8` bytes); the alias variants add their Walker tables.
 #[derive(Debug, Clone)]
 pub enum TopicSampler {
-    /// The dense parity oracle (no pre-built state).
-    Dense,
+    /// The dense parity oracle: each token reads its word's pre-built
+    /// `phi` row.
+    Dense(Box<PhiTable>),
     /// Sparse/alias sampling against pre-built per-word tables.
     SparseAlias(Box<SparseAliasTables>),
     /// Cycle Metropolis–Hastings; the word proposal draws from the same
@@ -84,26 +93,102 @@ impl TopicSampler {
     /// The configuration this strategy was built from.
     pub fn kind(&self) -> SamplerKind {
         match self {
-            TopicSampler::Dense => SamplerKind::Dense,
+            TopicSampler::Dense(_) => SamplerKind::Dense,
             TopicSampler::SparseAlias(_) => SamplerKind::SparseAlias,
             TopicSampler::MetropolisHastings(_) => SamplerKind::MetropolisHastings,
         }
     }
 }
 
+/// The frozen topic–word probabilities of one [`LdaModel`], word-major:
+/// `phi[w * K + t] = (n_{t,w} + β) / (n_t + V·β)`, each entry computed with
+/// exactly the expression of [`LdaModel::phi`], so every value is
+/// bit-identical to it. One token's `K` probabilities are one contiguous
+/// row, which is the layout every sampler's per-token loop reads.
+///
+/// Costs `K · V · 8` bytes and is built once per frozen model or artifact
+/// load, by [`LdaModel::sampler`] — never per table or per token.
+#[derive(Debug, Clone)]
+pub struct PhiTable {
+    /// Number of topics (the row width).
+    k: usize,
+    /// Vocabulary size (the row count).
+    v: usize,
+    /// `phi[w * k + t]`.
+    phi: Vec<f64>,
+}
+
+impl PhiTable {
+    /// Build the table from a trained model in `O(K · V)`. The counts are
+    /// sparse (most words occur under few topics), so every row starts as
+    /// the per-topic zero-count value `β / (n_t + V·β)` and only the
+    /// non-zero counts are then scattered in, reading the topic-major
+    /// counts in order.
+    pub(crate) fn build(model: &LdaModel) -> Self {
+        let k = model.num_topics();
+        let v = model.vocabulary().len();
+        // The count stride and `V·β` use the model's own `max(1)` guard.
+        let stride = v.max(1);
+        let beta = model.config().beta;
+        let v_beta = beta * stride as f64;
+        let den: Vec<f64> = model
+            .topic_total_counts()
+            .iter()
+            .map(|&n| n as f64 + v_beta)
+            .collect();
+        // The scatter's expression below at `n = 0`, so zero-count entries
+        // are bit-identical to `LdaModel::phi` as well.
+        let zero_row: Vec<f64> = den.iter().map(|&d| (0.0 + beta) / d).collect();
+        let mut phi = Vec::with_capacity(v * k);
+        for _ in 0..v {
+            phi.extend_from_slice(&zero_row);
+        }
+        let counts = model.topic_word_counts();
+        for (t, &d) in den.iter().enumerate() {
+            for (w, &n) in counts[t * stride..t * stride + v].iter().enumerate() {
+                if n != 0 {
+                    phi[w * k + t] = (n as f64 + beta) / d;
+                }
+            }
+        }
+        PhiTable { k, v, phi }
+    }
+
+    /// Reassemble a table from its flat word-major values (the alias-table
+    /// codec's load path). Returns `None` unless `phi` holds `v * k`
+    /// values.
+    pub(crate) fn from_parts(k: usize, v: usize, phi: Vec<f64>) -> Option<Self> {
+        (Some(phi.len()) == v.checked_mul(k)).then_some(PhiTable { k, v, phi })
+    }
+
+    /// The flat word-major values (the alias-table codec's write path).
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.phi
+    }
+
+    /// Panic unless the table was built for a model of this shape (it
+    /// embeds the frozen topic–word term, so it is only valid against the
+    /// model that produced it).
+    pub(crate) fn assert_matches(&self, k: usize, v: usize) {
+        assert_eq!(self.k, k, "sampler built for a different topic count");
+        assert_eq!(self.v, v, "sampler built for a different vocabulary");
+    }
+
+    /// The contiguous `phi_w(·)` row of one word.
+    #[inline]
+    pub(crate) fn row(&self, word: usize) -> &[f64] {
+        &self.phi[word * self.k..(word + 1) * self.k]
+    }
+}
+
 /// The frozen topic–word term of one [`LdaModel`], pre-processed for
-/// `O(k_d)`-per-token sampling: word-major `phi`, the static mass
-/// `s_w = α · Σ_t phi_w(t)` and one Walker alias table per word over the
-/// normalized static distribution.
+/// `O(k_d)`-per-token sampling: the word-major [`PhiTable`], the static
+/// mass `s_w = α · Σ_t phi_w(t)` and one Walker alias table per word over
+/// the normalized static distribution.
 #[derive(Debug, Clone)]
 pub struct SparseAliasTables {
-    /// Number of topics.
-    k: usize,
-    /// Vocabulary size the tables were built for.
-    v: usize,
-    /// `phi[w * k + t]`: topic–word probability, word-major so one token's
-    /// lookups are contiguous.
-    phi: Vec<f64>,
+    /// Topic–word probabilities, word-major.
+    phi: PhiTable,
     /// Walker acceptance probability per `(word, slot)`.
     alias_prob: Vec<f64>,
     /// Walker alias index per `(word, slot)`.
@@ -116,10 +201,9 @@ impl SparseAliasTables {
     /// Pre-build the tables from a trained model (`O(K · V)` time and
     /// space; runs once at predictor freeze/load time, never per token).
     pub fn build(model: &LdaModel) -> Self {
-        let k = model.num_topics();
-        let v = model.vocabulary().len();
+        let phi = PhiTable::build(model);
+        let (k, v) = (phi.k, phi.v);
         let alpha = model.config().alpha;
-        let mut phi = vec![0.0f64; v * k];
         let mut alias_prob = vec![0.0f64; v * k];
         let mut alias = vec![0u32; v * k];
         let mut static_mass = vec![0.0f64; v];
@@ -128,11 +212,10 @@ impl SparseAliasTables {
         let mut small: Vec<u32> = Vec::with_capacity(k);
         let mut large: Vec<u32> = Vec::with_capacity(k);
         for w in 0..v {
-            let row = &mut phi[w * k..(w + 1) * k];
+            let row = phi.row(w);
             let mut sum = 0.0;
-            for (t, p) in row.iter_mut().enumerate() {
-                *p = model.phi(t, w);
-                sum += *p;
+            for &p in row {
+                sum += p;
             }
             static_mass[w] = alpha * sum;
             // Walker/Vose construction over p_t = phi_w(t) / sum.
@@ -168,8 +251,6 @@ impl SparseAliasTables {
             }
         }
         SparseAliasTables {
-            k,
-            v,
             phi,
             alias_prob,
             alias,
@@ -179,12 +260,12 @@ impl SparseAliasTables {
 
     /// Number of topics the tables were built for.
     pub fn num_topics(&self) -> usize {
-        self.k
+        self.phi.k
     }
 
     /// Vocabulary size the tables were built for.
     pub fn vocab_size(&self) -> usize {
-        self.v
+        self.phi.v
     }
 
     /// Reassemble pre-built tables from their parts (the binary-codec load
@@ -199,8 +280,8 @@ impl SparseAliasTables {
         alias: Vec<u32>,
         static_mass: Vec<f64>,
     ) -> Option<Self> {
+        let phi = PhiTable::from_parts(k, v, phi)?;
         if k == 0
-            || phi.len() != v * k
             || alias_prob.len() != v * k
             || alias.len() != v * k
             || static_mass.len() != v
@@ -209,8 +290,6 @@ impl SparseAliasTables {
             return None;
         }
         Some(SparseAliasTables {
-            k,
-            v,
             phi,
             alias_prob,
             alias,
@@ -223,28 +302,19 @@ impl SparseAliasTables {
     #[allow(clippy::type_complexity)]
     pub(crate) fn parts(&self) -> (usize, usize, &[f64], &[f64], &[u32], &[f64]) {
         (
-            self.k,
-            self.v,
-            &self.phi,
+            self.phi.k,
+            self.phi.v,
+            self.phi.as_slice(),
             &self.alias_prob,
             &self.alias,
             &self.static_mass,
         )
     }
 
-    /// Panic unless the tables were built for a model of this shape (they
-    /// embed the frozen topic–word term, so they are only valid against the
-    /// model that produced them).
-    pub(crate) fn assert_matches(&self, k: usize, v: usize) {
-        assert_eq!(self.k, k, "sampler built for a different topic count");
-        assert_eq!(self.v, v, "sampler built for a different vocabulary");
-    }
-
-    /// The contiguous `phi_w(·)` row of one word (hoists the row base out
-    /// of the per-topic loop).
+    /// The word-major topic–word table the alias tables were built from.
     #[inline]
-    pub(crate) fn phi_row(&self, word: usize) -> &[f64] {
-        &self.phi[word * self.k..(word + 1) * self.k]
+    pub(crate) fn phi(&self) -> &PhiTable {
+        &self.phi
     }
 
     /// Total mass of the static part for `word`.
@@ -257,10 +327,11 @@ impl SparseAliasTables {
     /// unit uniform `x ∈ [0, 1)`: `O(1)` Walker alias lookup.
     #[inline]
     pub(crate) fn sample_alias(&self, word: usize, x: f64) -> usize {
-        let scaled = x * self.k as f64;
-        let slot = (scaled as usize).min(self.k - 1);
+        let k = self.phi.k;
+        let scaled = x * k as f64;
+        let slot = (scaled as usize).min(k - 1);
         let frac = scaled - slot as f64;
-        let base = word * self.k;
+        let base = word * k;
         if frac < self.alias_prob[base + slot] {
             slot
         } else {
@@ -430,7 +501,7 @@ mod tests {
                 "static mass of word {w}"
             );
             for t in 0..k {
-                assert!((model.phi(t, w) - tables.phi_row(w)[t]).abs() < 1e-15);
+                assert_eq!(model.phi(t, w).to_bits(), tables.phi().row(w)[t].to_bits());
                 let slot = tables.alias_prob[w * k + t];
                 assert!((0.0..=1.0 + 1e-9).contains(&slot), "slot prob {slot}");
                 assert!((tables.alias[w * k + t] as usize) < k);
@@ -438,10 +509,30 @@ mod tests {
         }
     }
 
+    /// The sparse scatter build reproduces `LdaModel::phi` bit for bit at
+    /// every (word, topic), zero and non-zero counts alike.
+    #[test]
+    fn phi_table_is_bit_identical_to_model_phi() {
+        for num_topics in [2usize, 8, 64] {
+            let cfg = LdaConfig {
+                num_topics,
+                ..LdaConfig::tiny()
+            };
+            let model = LdaModel::fit(&themed_documents(), 1, cfg);
+            let table = PhiTable::build(&model);
+            assert_eq!((table.k, table.v), (num_topics, model.vocabulary().len()));
+            for w in 0..model.vocabulary().len() {
+                for (t, p) in table.row(w).iter().enumerate() {
+                    assert_eq!(p.to_bits(), model.phi(t, w).to_bits(), "word {w} topic {t}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn sampler_kind_accessor_matches_strategy() {
         let model = LdaModel::fit(&themed_documents(), 1, LdaConfig::tiny());
-        assert_eq!(TopicSampler::Dense.kind(), SamplerKind::Dense);
+        assert_eq!(model.sampler(SamplerKind::Dense).kind(), SamplerKind::Dense);
         assert_eq!(
             model.sampler(SamplerKind::SparseAlias).kind(),
             SamplerKind::SparseAlias
@@ -452,7 +543,7 @@ mod tests {
         );
         assert!(matches!(
             model.sampler(SamplerKind::Dense),
-            TopicSampler::Dense
+            TopicSampler::Dense(_)
         ));
     }
 }

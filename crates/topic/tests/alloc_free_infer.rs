@@ -14,8 +14,7 @@
 
 use sato_tabular::table::{Column, Table};
 use sato_topic::{
-    LdaConfig, LdaInferScratch, LdaModel, SamplerKind, TableIntentEstimator, TopicSampler,
-    TopicScratch,
+    LdaConfig, LdaInferScratch, LdaModel, SamplerKind, TableIntentEstimator, TopicScratch,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,24 +60,26 @@ fn warm_topic_inference_allocates_nothing() {
     let model = LdaModel::fit(&docs, 1, LdaConfig::tiny());
 
     // Raw token-level inference: warm `infer_tokens_into` must not allocate
-    // — with either sampler. The sparse/alias sampler's tables are built
-    // once here (freeze-time in the serving pipeline), outside the counted
-    // window; its per-token sparse structures live in the scratch.
+    // — with any sampler. The samplers' tables (the dense word-major `phi`
+    // table, the alias tables) are built once here (freeze-time in the
+    // serving pipeline), outside the counted window; the per-token
+    // structures live in the scratch.
     let tokens = model
         .vocabulary()
         .encode("rock jazz blues artist album city");
+    let dense = model.sampler(SamplerKind::Dense);
     let sparse = model.sampler(SamplerKind::SparseAlias);
     let mut scratch = LdaInferScratch::new();
     let mut out = vec![0.0f32; model.num_topics()];
     // Warm-up: the first calls size every buffer.
-    model.infer_tokens_into(&tokens, 7, &TopicSampler::Dense, &mut scratch, &mut out);
-    model.infer_tokens_into(&tokens, 7, &TopicSampler::Dense, &mut scratch, &mut out);
+    model.infer_tokens_into(&tokens, 7, &dense, &mut scratch, &mut out);
+    model.infer_tokens_into(&tokens, 7, &dense, &mut scratch, &mut out);
     let expected = model.infer_tokens(&tokens, 7);
     assert_eq!(out, expected, "scratch path must match the allocating path");
 
     let before = allocation_count();
     for _ in 0..20 {
-        model.infer_tokens_into(&tokens, 7, &TopicSampler::Dense, &mut scratch, &mut out);
+        model.infer_tokens_into(&tokens, 7, &dense, &mut scratch, &mut out);
     }
     let after = allocation_count();
     assert_eq!(
@@ -141,14 +142,14 @@ fn warm_topic_inference_allocates_nothing() {
     );
     let mut topic_scratch = TopicScratch::new();
     let mut theta = vec![0.0f32; estimator.num_topics()];
-    estimator.estimate_into(&table, &TopicSampler::Dense, &mut topic_scratch, &mut theta);
-    estimator.estimate_into(&table, &TopicSampler::Dense, &mut topic_scratch, &mut theta);
+    estimator.estimate_into(&table, &dense, &mut topic_scratch, &mut theta);
+    estimator.estimate_into(&table, &dense, &mut topic_scratch, &mut theta);
     let reference = estimator.estimate(&table);
     assert_eq!(theta, reference, "streaming estimate must match the oracle");
 
     let before = allocation_count();
     for _ in 0..20 {
-        estimator.estimate_into(&table, &TopicSampler::Dense, &mut topic_scratch, &mut theta);
+        estimator.estimate_into(&table, &dense, &mut topic_scratch, &mut theta);
     }
     let after = allocation_count();
     assert_eq!(

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use sato::{SamplerKind, SatoConfig, SatoModel, SatoVariant, ServingScratch};
 use sato_tabular::corpus::default_corpus;
 use sato_tabular::table::{Column, Corpus, Table};
-use sato_topic::{LdaConfig, TableIntentEstimator, TopicSampler, TopicScratch};
+use sato_topic::{LdaConfig, TableIntentEstimator, TopicScratch};
 use std::sync::OnceLock;
 
 fn tiny_config() -> SatoConfig {
@@ -81,12 +81,13 @@ proptest! {
         salt in 0usize..10_000,
     ) {
         let est = estimator();
+        let dense = est.build_sampler(SamplerKind::Dense);
         let sparse = est.build_sampler(SamplerKind::SparseAlias);
         let mh = est.build_sampler(SamplerKind::MetropolisHastings);
         let corpus = ragged_corpus(&shapes, salt);
         let mut scratch = TopicScratch::new();
         for table in corpus.iter() {
-            for sampler in [&TopicSampler::Dense, &sparse, &mh] {
+            for sampler in [&dense, &sparse, &mh] {
                 let theta = est.estimate_with(table, sampler, &mut scratch);
                 prop_assert_eq!(theta.len(), est.num_topics());
                 let sum: f32 = theta.iter().sum();
@@ -115,10 +116,11 @@ proptest! {
 #[test]
 fn sparse_sampler_thetas_are_statistically_close_to_dense() {
     let est = estimator();
+    let dense = est.build_sampler(SamplerKind::Dense);
     let sparse = est.build_sampler(SamplerKind::SparseAlias);
     let corpus = default_corpus(40, 77);
     let mut scratch = TopicScratch::new();
-    let dense_thetas = est.estimate_corpus_with(&corpus, &TopicSampler::Dense, &mut scratch);
+    let dense_thetas = est.estimate_corpus_with(&corpus, &dense, &mut scratch);
     let sparse_thetas = est.estimate_corpus_with(&corpus, &sparse, &mut scratch);
     let mean_l1 = dense_thetas
         .iter()
@@ -144,10 +146,11 @@ fn sparse_sampler_thetas_are_statistically_close_to_dense() {
 #[test]
 fn mh_sampler_thetas_are_statistically_close_to_dense() {
     let est = estimator();
+    let dense = est.build_sampler(SamplerKind::Dense);
     let mh = est.build_sampler(SamplerKind::MetropolisHastings);
     let corpus = default_corpus(40, 77);
     let mut scratch = TopicScratch::new();
-    let dense_thetas = est.estimate_corpus_with(&corpus, &TopicSampler::Dense, &mut scratch);
+    let dense_thetas = est.estimate_corpus_with(&corpus, &dense, &mut scratch);
     let mh_thetas = est.estimate_corpus_with(&corpus, &mh, &mut scratch);
     let mean_l1 = dense_thetas
         .iter()

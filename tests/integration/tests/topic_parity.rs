@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use sato::{SatoConfig, SatoModel, SatoVariant, ServingScratch};
 use sato_tabular::corpus::default_corpus;
 use sato_tabular::table::{Column, Corpus, Table};
-use sato_topic::{LdaConfig, TableIntentEstimator, TopicSampler, TopicScratch};
+use sato_topic::{LdaConfig, SamplerKind, TableIntentEstimator, TopicScratch};
 use std::sync::OnceLock;
 
 fn tiny_config() -> SatoConfig {
@@ -91,16 +91,17 @@ proptest! {
         salt in 0usize..10_000,
     ) {
         let est = estimator();
+        let dense = est.build_sampler(SamplerKind::Dense);
         let corpus = ragged_corpus(&shapes, salt);
         let reference = est.estimate_corpus(&corpus);
         let mut scratch = TopicScratch::new();
-        let streamed = est.estimate_corpus_with(&corpus, &TopicSampler::Dense, &mut scratch);
+        let streamed = est.estimate_corpus_with(&corpus, &dense, &mut scratch);
         prop_assert_eq!(&reference, &streamed);
         // Per-table entry point agrees too, and every vector has the
         // estimator's dimensionality.
         for (table, theta) in corpus.iter().zip(&reference) {
             prop_assert_eq!(theta.len(), est.num_topics());
-            prop_assert_eq!(theta, &est.estimate_with(table, &TopicSampler::Dense, &mut scratch));
+            prop_assert_eq!(theta, &est.estimate_with(table, &dense, &mut scratch));
         }
     }
 }
@@ -111,6 +112,7 @@ proptest! {
 #[test]
 fn streaming_estimate_edge_cases_match_reference() {
     let est = estimator();
+    let dense = est.build_sampler(SamplerKind::Dense);
     let mut scratch = TopicScratch::new();
     let k = est.num_topics() as f32;
     let empty = Table::unlabelled(0, vec![]);
@@ -118,14 +120,11 @@ fn streaming_estimate_edge_cases_match_reference() {
     let oov_only = Table::unlabelled(2, vec![Column::new(["zzzzqq", "qqxx yyzz"])]);
     for table in [&empty, &one_token, &oov_only] {
         let reference = est.estimate(table);
-        assert_eq!(
-            reference,
-            est.estimate_with(table, &TopicSampler::Dense, &mut scratch)
-        );
+        assert_eq!(reference, est.estimate_with(table, &dense, &mut scratch));
     }
     // Empty and OOV-only documents are the uniform distribution.
     for table in [&empty, &oov_only] {
-        let theta = est.estimate_with(table, &TopicSampler::Dense, &mut scratch);
+        let theta = est.estimate_with(table, &dense, &mut scratch);
         assert!(theta.iter().all(|&x| (x - 1.0 / k).abs() < 1e-6));
     }
 }
