@@ -243,9 +243,8 @@ fn main() {
         gibbs.mh_l1_drift
     );
 
-    // Artifact formats: JSON vs SATOART1 binary size and load time, plus a
-    // cold serve straight off the columnar corpus bytes (frame decode
-    // included in the timing).
+    // The SATOART1 artifact's size and load time, plus a cold serve straight
+    // off the columnar corpus bytes (frame decode included in the timing).
     let artifact = time_artifacts(
         full_predictor
             .as_ref()
@@ -253,13 +252,9 @@ fn main() {
         &split.test,
     );
     println!(
-        "artifact: binary {} KiB loads in {:.0} µs vs JSON {} KiB in {:.0} µs ({:.2}x smaller, {:.2}x faster load)",
+        "artifact: {} KiB loads in {:.0} µs",
         artifact.binary_bytes / 1024,
         artifact.binary_load_us,
-        artifact.json_bytes / 1024,
-        artifact.json_load_us,
-        artifact.json_bytes as f64 / artifact.binary_bytes.max(1) as f64,
-        artifact.json_load_us / artifact.binary_load_us.max(1e-9),
     );
     println!(
         "colstore cold serve: {:.1} tables/s off {} KiB of columnar corpus (decode + predict, batch {BATCH_COLS})",
@@ -571,16 +566,12 @@ fn time_gibbs_samplers(
     }
 }
 
-/// Artifact-format comparison recorded in the `artifact` section of
+/// Artifact figures recorded in the `artifact` section of
 /// `BENCH_serving.json`.
 struct ArtifactBench {
-    /// Size of the JSON interchange artifact in bytes.
-    json_bytes: usize,
     /// Size of the SATOART1 binary artifact in bytes.
     binary_bytes: usize,
-    /// Mean µs to rebuild a predictor from the JSON artifact.
-    json_load_us: f64,
-    /// Mean µs to rebuild a predictor from the binary artifact.
+    /// Best-of µs to rebuild a predictor from the binary artifact.
     binary_load_us: f64,
     /// Size of the columnar (colstore) form of the held-out corpus in bytes.
     colstore_bytes: usize,
@@ -591,21 +582,19 @@ struct ArtifactBench {
     colstore_tables_per_sec: f64,
 }
 
-/// Measure both predictor artifact formats (size + load time, asserting the
-/// loaded predictors reproduce the source bit for bit) and a cold serve of
-/// the held-out corpus from its columnar bytes.
+/// Measure the predictor artifact (size + load time, asserting the loaded
+/// predictor reproduces the source bit for bit) and a cold serve of the
+/// held-out corpus from its columnar bytes.
 fn time_artifacts(predictor: &SatoPredictor, test: &Corpus) -> ArtifactBench {
-    let json = predictor.to_json();
     let binary = predictor.to_bytes();
-
-    let (from_json, json_secs) =
-        best_of(|| SatoPredictor::from_json(black_box(&json)).expect("JSON artifact loads"));
     let (from_binary, binary_secs) =
         best_of(|| SatoPredictor::from_bytes(black_box(&binary)).expect("binary artifact loads"));
     for table in test.iter().take(5) {
-        let expected = predictor.predict(table);
-        assert_eq!(expected, from_json.predict(table), "JSON load drifted");
-        assert_eq!(expected, from_binary.predict(table), "binary load drifted");
+        assert_eq!(
+            predictor.predict(table),
+            from_binary.predict(table),
+            "binary load drifted"
+        );
     }
 
     let colstore_bytes = sato_tabular::colstore::corpus_to_bytes(test);
@@ -621,9 +610,7 @@ fn time_artifacts(predictor: &SatoPredictor, test: &Corpus) -> ArtifactBench {
     );
 
     ArtifactBench {
-        json_bytes: json.len(),
         binary_bytes: binary.len(),
-        json_load_us: json_secs * 1e6,
         binary_load_us: binary_secs * 1e6,
         colstore_bytes: colstore_bytes.len(),
         colstore_serve_secs,
@@ -655,7 +642,7 @@ fn write_serving_json(
     let (single_pass_us, baseline_us) = (features.single_pass_us, features.baseline_us);
     let single_threaded = std::thread::available_parallelism().map_or(true, |n| n.get() == 1);
     let json = format!(
-        "{{\n  \"schema\": \"sato-bench/serving-v1\",\n  \"single_threaded\": {single_threaded},\n  \"model\": \"Sato (Full)\",\n  \"corpus\": {{ \"tables\": {}, \"columns\": {}, \"seed\": {}, \"trials\": {} }},\n  \"serving\": {{\n    \"batch_cols\": {BATCH_COLS},\n    \"sampler\": \"{}\",\n    \"per_table_secs\": {per_table:.6},\n    \"batched_secs\": {batched:.6},\n    \"per_table_tables_per_sec\": {:.2},\n    \"batched_tables_per_sec\": {:.2},\n    \"batched_speedup\": {:.3}\n  }},\n  \"feature_extraction\": {{\n    \"single_pass_us_per_column\": {single_pass_us:.2},\n    \"baseline_us_per_column\": {baseline_us:.2},\n    \"single_pass_speedup\": {:.3},\n    \"reference_groups_us_per_column\": {{\n      \"char\": {:.2},\n      \"word\": {:.2},\n      \"para\": {:.2},\n      \"stat\": {:.2}\n    }}\n  }},\n  \"hashing\": {{\n    \"kernel_us_per_token\": {hashing_kernel_us:.4},\n    \"scalar_us_per_token\": {hashing_scalar_us:.4},\n    \"hashing_speedup\": {:.3}\n  }},\n  \"topic_estimation\": {{\n    \"scratch_us_per_table\": {topic_scratch_us:.2},\n    \"reference_us_per_table\": {topic_reference_us:.2},\n    \"topic_speedup\": {:.3}\n  }},\n  \"crf_decode\": {{\n    \"kernel_us_per_chain\": {crf_kernel_us:.2},\n    \"reference_us_per_chain\": {crf_reference_us:.2},\n    \"crf_decode_speedup\": {:.3}\n  }},\n  \"gibbs_sampler\": {{\n    \"dense_us_per_table\": {:.2},\n    \"sparse_us_per_table\": {:.2},\n    \"sparse_speedup\": {:.3},\n    \"mean_l1_drift_vs_dense\": {:.4}\n  }},\n  \"mh_sampler\": {{\n    \"mh_us_per_table\": {:.2},\n    \"mh_speedup\": {:.3},\n    \"mh_speedup_vs_dense\": {:.3},\n    \"mh_l1_drift_vs_dense\": {:.4}\n  }},\n  \"artifact\": {{\n    \"json_bytes\": {},\n    \"binary_bytes\": {},\n    \"binary_size_ratio\": {:.3},\n    \"json_load_us\": {:.2},\n    \"binary_load_us\": {:.2},\n    \"binary_load_speedup\": {:.3},\n    \"colstore_bytes\": {},\n    \"colstore_cold_serve_secs\": {:.6},\n    \"colstore_cold_tables_per_sec\": {:.2}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"sato-bench/serving-v1\",\n  \"single_threaded\": {single_threaded},\n  \"model\": \"Sato (Full)\",\n  \"corpus\": {{ \"tables\": {}, \"columns\": {}, \"seed\": {}, \"trials\": {} }},\n  \"serving\": {{\n    \"batch_cols\": {BATCH_COLS},\n    \"sampler\": \"{}\",\n    \"per_table_secs\": {per_table:.6},\n    \"batched_secs\": {batched:.6},\n    \"per_table_tables_per_sec\": {:.2},\n    \"batched_tables_per_sec\": {:.2},\n    \"batched_speedup\": {:.3}\n  }},\n  \"feature_extraction\": {{\n    \"single_pass_us_per_column\": {single_pass_us:.2},\n    \"baseline_us_per_column\": {baseline_us:.2},\n    \"single_pass_speedup\": {:.3},\n    \"reference_groups_us_per_column\": {{\n      \"char\": {:.2},\n      \"word\": {:.2},\n      \"para\": {:.2},\n      \"stat\": {:.2}\n    }}\n  }},\n  \"hashing\": {{\n    \"kernel_us_per_token\": {hashing_kernel_us:.4},\n    \"scalar_us_per_token\": {hashing_scalar_us:.4},\n    \"hashing_speedup\": {:.3}\n  }},\n  \"topic_estimation\": {{\n    \"scratch_us_per_table\": {topic_scratch_us:.2},\n    \"reference_us_per_table\": {topic_reference_us:.2},\n    \"topic_speedup\": {:.3}\n  }},\n  \"crf_decode\": {{\n    \"kernel_us_per_chain\": {crf_kernel_us:.2},\n    \"reference_us_per_chain\": {crf_reference_us:.2},\n    \"crf_decode_speedup\": {:.3}\n  }},\n  \"gibbs_sampler\": {{\n    \"dense_us_per_table\": {:.2},\n    \"sparse_us_per_table\": {:.2},\n    \"sparse_speedup\": {:.3},\n    \"mean_l1_drift_vs_dense\": {:.4}\n  }},\n  \"mh_sampler\": {{\n    \"mh_us_per_table\": {:.2},\n    \"mh_speedup\": {:.3},\n    \"mh_speedup_vs_dense\": {:.3},\n    \"mh_l1_drift_vs_dense\": {:.4}\n  }},\n  \"artifact\": {{\n    \"binary_bytes\": {},\n    \"binary_load_us\": {:.2},\n    \"colstore_bytes\": {},\n    \"colstore_cold_serve_secs\": {:.6},\n    \"colstore_cold_tables_per_sec\": {:.2}\n  }}\n}}\n",
         test.len(),
         columns,
         opts.seed,
@@ -680,12 +667,8 @@ fn write_serving_json(
         gibbs.sparse_us / gibbs.mh_us.max(1e-9),
         gibbs.dense_us / gibbs.mh_us.max(1e-9),
         gibbs.mh_l1_drift,
-        artifact.json_bytes,
         artifact.binary_bytes,
-        artifact.json_bytes as f64 / artifact.binary_bytes.max(1) as f64,
-        artifact.json_load_us,
         artifact.binary_load_us,
-        artifact.json_load_us / artifact.binary_load_us.max(1e-9),
         artifact.colstore_bytes,
         artifact.colstore_serve_secs,
         artifact.colstore_tables_per_sec,

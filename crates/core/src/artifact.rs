@@ -1,13 +1,14 @@
-//! The `SATOART1` compact binary predictor artifact.
+//! The `SATOART1` binary predictor artifact, the one persistence format of
+//! a [`SatoPredictor`] ([`SatoPredictor::to_bytes`] /
+//! [`SatoPredictor::from_bytes`], file forms [`SatoPredictor::save`] /
+//! [`SatoPredictor::load`]).
 //!
-//! [`SatoPredictor::to_json`](crate::SatoPredictor::to_json) stays the
-//! debug/interchange format; this module is the deployment format: the
-//! already-flat buffers a predictor is made of (network weights and running
-//! statistics, per-group scaler moments, the LDA topic–word counts, the CRF
-//! pairwise table and — for the sparse sampler — the pre-built per-word
-//! alias tables) laid out as little-endian sections behind a header, so
-//! loading is section framing plus `memcpy`-shaped bulk reads instead of
-//! parsing hundreds of thousands of JSON number literals.
+//! The already-flat buffers a predictor is made of (network weights and
+//! running statistics, per-group scaler moments, the LDA topic–word
+//! counts, the CRF pairwise table and — for the alias samplers — the
+//! pre-built per-word alias tables) are laid out as little-endian sections
+//! behind a header, so loading is section framing plus `memcpy`-shaped
+//! bulk reads.
 //!
 //! ## Layout
 //!
@@ -363,12 +364,10 @@ fn assemble(sections: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
 }
 
 impl SatoPredictor {
-    /// Serialize the predictor into the compact `SATOART1` binary artifact
-    /// (see the [module docs](self) for the layout). The binary form is the
-    /// deployment format: it round-trips bit for bit with
-    /// [`Self::to_json`] — [`Self::from_bytes`] reproduces the saved
-    /// predictions exactly — while being several times smaller and loading
-    /// via bulk little-endian reads instead of JSON parsing.
+    /// Serialize the predictor into the `SATOART1` binary artifact (see
+    /// the [module docs](self) for the layout). The encoding is canonical:
+    /// [`Self::from_bytes`] reproduces the saved predictions bit for bit,
+    /// and the loaded predictor serializes back to the same bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let columnwise = self.columnwise();
         let meta = BinaryMeta {
@@ -441,8 +440,8 @@ impl SatoPredictor {
         let value: serde::Value = serde_json::from_str(meta_str)?;
         let meta = BinaryMeta::from_value(&value).map_err(serde_json::Error::from)?;
 
-        // Cross-field consistency, mirroring `from_json`: a frame-valid
-        // artifact must not be able to panic at predict time.
+        // Cross-field consistency: a frame-valid artifact must not be able
+        // to panic at predict time.
         let expected_groups = FeatureGroup::ALL.len() + usize::from(meta.use_topic);
         if meta.group_widths.len() != expected_groups {
             return Err(PredictorError::Inconsistent(
@@ -519,15 +518,14 @@ impl SatoPredictor {
         ))
     }
 
-    /// Write the binary artifact to a file (see [`Self::to_bytes`]).
-    pub fn save_binary(&self, path: impl AsRef<std::path::Path>) -> Result<(), PredictorError> {
+    /// Write the artifact to a file (see [`Self::to_bytes`]).
+    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), PredictorError> {
         std::fs::write(path, self.to_bytes())?;
         Ok(())
     }
 
-    /// Load a predictor from a binary artifact file (see
-    /// [`Self::from_bytes`]).
-    pub fn load_binary(path: impl AsRef<std::path::Path>) -> Result<Self, PredictorError> {
+    /// Load a predictor from an artifact file (see [`Self::from_bytes`]).
+    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, PredictorError> {
         // Named injection point `core.artifact_load` (chaos builds only):
         // an armed Error presents as transient I/O, which is what the
         // serving layer's retry-with-backoff path exists for.
@@ -572,29 +570,102 @@ mod tests {
         })
     }
 
-    /// A fresh owned copy of the shared predictor (via the JSON codec, which
-    /// is already proven bit-exact).
+    /// A fresh owned copy of the shared predictor.
     fn fresh_copy() -> SatoPredictor {
-        SatoPredictor::from_json(&full_predictor().to_json()).unwrap()
+        SatoPredictor::from_bytes(&full_predictor().to_bytes()).unwrap()
+    }
+
+    /// Re-frame the sections of `bytes`, each payload passed through `edit`
+    /// (which rewrites it, or returns `None` to drop the section).
+    fn reframe(bytes: &[u8], mut edit: impl FnMut([u8; 4], &[u8]) -> Option<Vec<u8>>) -> Vec<u8> {
+        let sections: Vec<([u8; 4], Vec<u8>)> = Sections::parse(bytes)
+            .unwrap()
+            .entries
+            .iter()
+            .filter_map(|(id, payload)| edit(*id, payload).map(|p| (*id, p)))
+            .collect();
+        assemble(&sections)
+    }
+
+    /// `bytes` with the fields of its `META` object edited by `edit`.
+    fn with_meta(bytes: &[u8], edit: impl Fn(&mut Vec<(String, serde::Value)>)) -> Vec<u8> {
+        reframe(bytes, |id, payload| {
+            if id != SEC_META {
+                return Some(payload.to_vec());
+            }
+            let mut meta: serde::Value =
+                serde_json::from_str(std::str::from_utf8(payload).unwrap()).unwrap();
+            let serde::Value::Map(fields) = &mut meta else {
+                panic!("META is a JSON object")
+            };
+            edit(fields);
+            Some(serde_json::to_string(&meta).unwrap().into_bytes())
+        })
+    }
+
+    /// The value of the `META` field `name`.
+    fn field<'a>(fields: &'a mut [(String, serde::Value)], name: &str) -> &'a mut serde::Value {
+        &mut fields.iter_mut().find(|(key, _)| key == name).unwrap().1
     }
 
     #[test]
-    fn binary_round_trip_is_bit_identical_and_denser_than_json() {
-        let predictor = full_predictor();
-        let bytes = predictor.to_bytes();
-        let json = predictor.to_json();
-        assert!(
-            bytes.len() * 2 < json.len(),
-            "binary artifact ({}) not substantially smaller than JSON ({})",
-            bytes.len(),
-            json.len()
-        );
-        let loaded = SatoPredictor::from_bytes(&bytes).unwrap();
-        assert_eq!(loaded.variant(), predictor.variant());
-        assert_eq!(loaded.sampler_kind(), predictor.sampler_kind());
-        for table in corpus().iter().take(8) {
-            assert_eq!(predictor.predict_proba(table), loaded.predict_proba(table));
-            assert_eq!(predictor.predict(table), loaded.predict(table));
+    fn wrong_group_widths_count_is_inconsistent() {
+        let bytes = with_meta(&full_predictor().to_bytes(), |fields| {
+            let serde::Value::Seq(widths) = field(fields, "group_widths") else {
+                panic!("group_widths is a list")
+            };
+            widths.pop();
+        });
+        assert!(matches!(
+            SatoPredictor::from_bytes(&bytes),
+            Err(PredictorError::Inconsistent(msg)) if msg.contains("group_widths")
+        ));
+    }
+
+    #[test]
+    fn scaler_count_mismatch_is_inconsistent() {
+        let bytes = reframe(&full_predictor().to_bytes(), |id, payload| {
+            if id != SEC_SCAL {
+                return Some(payload.to_vec());
+            }
+            let mut scalers = decode_scalers(payload).unwrap();
+            scalers.pop();
+            let mut out = Vec::new();
+            encode_scalers(&scalers, &mut out);
+            Some(out)
+        });
+        assert!(matches!(
+            SatoPredictor::from_bytes(&bytes),
+            Err(PredictorError::Inconsistent(msg)) if msg.contains("scaler count")
+        ));
+    }
+
+    /// A `META` describing a topic-aware model fails at load time, not at
+    /// predict time, when the artifact carries no topic model.
+    #[test]
+    fn topic_aware_meta_without_ldam_is_a_missing_section() {
+        let bytes = reframe(&full_predictor().to_bytes(), |id, payload| {
+            (id != SEC_LDAM).then(|| payload.to_vec())
+        });
+        assert!(matches!(
+            SatoPredictor::from_bytes(&bytes),
+            Err(PredictorError::MissingSection("LDAM"))
+        ));
+    }
+
+    /// An unknown sampler kind is a load error naming it, never a silent
+    /// fallback to another accuracy/latency trade-off.
+    #[test]
+    fn unknown_sampler_kind_in_meta_is_a_typed_error() {
+        let bytes = with_meta(&full_predictor().to_bytes(), |fields| {
+            *field(fields, "sampler") = serde::Value::Str("Turbo".to_string());
+        });
+        match SatoPredictor::from_bytes(&bytes) {
+            Err(PredictorError::Json(e)) => assert!(
+                e.to_string().contains("unknown SamplerKind variant"),
+                "error should name the bad sampler kind, got: {e}"
+            ),
+            other => panic!("expected a META error, got {:?}", other.err()),
         }
     }
 
@@ -841,16 +912,30 @@ mod tests {
         }
     }
 
+    /// `save` / `load` round-trip a file; a JSON file (the retired
+    /// artifact format) is refused as `BadMagic`, not a panic.
     #[test]
     fn binary_artifact_file_round_trip() {
         let predictor = full_predictor();
         let dir = std::env::temp_dir().join("sato_artifact_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("full.satoart");
-        predictor.save_binary(&path).unwrap();
-        let loaded = SatoPredictor::load_binary(&path).unwrap();
+        predictor.save(&path).unwrap();
+        let loaded = SatoPredictor::load(&path).unwrap();
         let table = &corpus().tables[0];
         assert_eq!(predictor.predict(table), loaded.predict(table));
         std::fs::remove_file(&path).ok();
+
+        let json = dir.join("full.json");
+        std::fs::write(
+            &json,
+            r#"{"format_version":1,"variant":"Full","use_topic":true}"#,
+        )
+        .unwrap();
+        assert!(matches!(
+            SatoPredictor::load(&json),
+            Err(PredictorError::BadMagic)
+        ));
+        std::fs::remove_file(&json).ok();
     }
 }

@@ -332,30 +332,9 @@ impl ColumnwiseInference for ColumnwiseModel {
     }
 }
 
-/// Evaluation-mode forward pass to the flat row-major probability matrix
-/// (one row per column), shared by the live [`ColumnwiseModel`] and its
-/// [`FrozenColumnwise`] snapshot so the two cannot drift apart (freeze
-/// parity is structural, not by convention).
-fn infer_proba_matrix(
-    net: &MultiInputNetwork,
-    head: &Sequential,
-    scalers: &[Standardizer],
-    use_topic: bool,
-    inputs: &TableInputs,
-) -> Matrix {
-    if inputs.columns.is_empty() {
-        return Matrix::zeros(0, NUM_TYPES);
-    }
-    let groups = inputs.to_matrices(use_topic);
-    let groups = Standardizer::transform_groups(scalers, &groups);
-    let embedding = net.infer(&groups);
-    let mut probs = head.infer(&embedding);
-    softmax_in_place(&mut probs);
-    probs
-}
-
-/// [`infer_proba_matrix`], split into per-column probability rows (the
-/// compatibility shape of [`ColumnwiseInference::predict_proba`]).
+/// Evaluation-mode forward pass to per-column probability rows, shared by
+/// the live [`ColumnwiseModel`] and its [`FrozenColumnwise`] snapshot's
+/// unbatched reference path so the two cannot drift apart.
 fn infer_proba(
     net: &MultiInputNetwork,
     head: &Sequential,
@@ -363,8 +342,15 @@ fn infer_proba(
     use_topic: bool,
     inputs: &TableInputs,
 ) -> Vec<Vec<f32>> {
-    let probs = infer_proba_matrix(net, head, scalers, use_topic, inputs);
-    (0..probs.rows()).map(|r| probs.row(r).to_vec()).collect()
+    if inputs.columns.is_empty() {
+        return Vec::new();
+    }
+    let groups = inputs.to_matrices(use_topic);
+    let groups = Standardizer::transform_groups(scalers, &groups);
+    let embedding = net.infer(&groups);
+    let mut probs = head.infer(&embedding);
+    softmax_in_place(&mut probs);
+    row_vecs(&probs)
 }
 
 /// Evaluation-mode forward pass to column embeddings (the final hidden
@@ -380,10 +366,12 @@ fn infer_embeddings(
     }
     let groups = inputs.to_matrices(use_topic);
     let groups = Standardizer::transform_groups(scalers, &groups);
-    let embedding: Matrix = net.infer(&groups);
-    (0..embedding.rows())
-        .map(|r| embedding.row(r).to_vec())
-        .collect()
+    row_vecs(&net.infer(&groups))
+}
+
+/// The rows of a matrix as owned vectors.
+pub(crate) fn row_vecs(m: &Matrix) -> Vec<Vec<f32>> {
+    (0..m.rows()).map(|r| m.row(r).to_vec()).collect()
 }
 
 /// Default capacity (distinct table ids) of the opt-in topic memo enabled
@@ -720,27 +708,27 @@ impl FrozenColumnwise {
 
     /// Extract the network inputs for a table (features + topic vector,
     /// estimated with the configured sampler).
+    ///
+    /// With [`Self::predict_proba_from_inputs`] this is the **unbatched
+    /// reference** path: one table at a time, through owned per-column
+    /// vectors. Serving never takes it; it exists for permutation
+    /// importance (which shuffles the extracted groups), for layer-by-layer
+    /// replays, and as the oracle the batched core is checked against.
     pub fn extract_inputs(&self, table: &Table) -> TableInputs {
         TableInputs::extract(table, &self.extractor, pair(&self.topic))
     }
 
-    /// Evaluation-mode forward pass on pre-extracted inputs.
+    /// Evaluation-mode forward pass on pre-extracted inputs (the unbatched
+    /// reference; see [`Self::extract_inputs`]).
     pub fn predict_proba_from_inputs(&self, inputs: &TableInputs) -> Vec<Vec<f32>> {
         infer_proba(&self.net, &self.head, &self.scalers, self.use_topic, inputs)
     }
 
-    /// Per-column class probabilities of one table as a flat row-major
-    /// matrix (one row per column, [`NUM_TYPES`] columns) — the hot-path
-    /// shape; [`ColumnwiseInference::predict_proba`] wraps it.
-    pub fn predict_proba_matrix(&self, table: &Table) -> Matrix {
-        let inputs = self.extract_inputs(table);
-        infer_proba_matrix(
-            &self.net,
-            &self.head,
-            &self.scalers,
-            self.use_topic,
-            &inputs,
-        )
+    /// Column embeddings from pre-extracted inputs: the unbatched
+    /// reference of [`Self::embed_batch_cells`].
+    #[cfg(test)]
+    pub(crate) fn embeddings_from_inputs(&self, inputs: &TableInputs) -> Vec<Vec<f32>> {
+        infer_embeddings(&self.net, &self.scalers, self.use_topic, inputs)
     }
 
     /// Run the column-wise network over **many tables at once**: every
@@ -782,10 +770,7 @@ impl FrozenColumnwise {
     /// estimation, standardisation and network trunk as
     /// [`Self::infer_batch_cells`], but the classification head and
     /// softmax never run. `scratch.embedding` ends up holding one
-    /// embedding row per column, table after table in order — the batched,
-    /// allocation-lean counterpart of [`Self::column_embeddings`], and
-    /// bit-identical to it row for row (the per-table path differs only in
-    /// buffer ownership; every numeric stage is shared).
+    /// embedding row per column, table after table in order.
     pub(crate) fn embed_batch_cells<T: TableCells + ?Sized>(
         &self,
         tables: &[&T],
@@ -962,13 +947,6 @@ impl FrozenColumnwise {
         }
     }
 
-    /// Column embeddings (the final hidden representation before the output
-    /// layer; Section 5.6 / Figure 10).
-    pub fn column_embeddings(&self, table: &Table) -> Vec<Vec<f32>> {
-        let inputs = self.extract_inputs(table);
-        infer_embeddings(&self.net, &self.scalers, self.use_topic, &inputs)
-    }
-
     /// State dict of the multi-input network (for serialization).
     pub(crate) fn net_state(&self) -> StateDict {
         self.net.state_dict()
@@ -1024,9 +1002,12 @@ impl FrozenColumnwise {
 }
 
 impl ColumnwiseInference for FrozenColumnwise {
+    /// A batch of one on the batched core, through a fresh scratch (which
+    /// never queries the core count or wakes a helper for one table).
     fn predict_proba(&self, table: &Table) -> Vec<Vec<f32>> {
-        let inputs = self.extract_inputs(table);
-        self.predict_proba_from_inputs(&inputs)
+        let mut scratch = ServingScratch::new();
+        self.infer_batch_cells(&[table], &mut scratch);
+        row_vecs(&scratch.probs)
     }
 }
 
@@ -1123,12 +1104,13 @@ mod tests {
     fn frozen_model_matches_source_bit_for_bit() {
         let (model, corpus) = train_small(true);
         let snapshot = model.freeze();
+        // The live model's per-table path against the snapshot's batched
+        // core, one table per batch.
+        let mut scratch = ServingScratch::new();
         for table in corpus.iter().take(10) {
             assert_eq!(model.predict_proba(table), snapshot.predict_proba(table));
-            assert_eq!(
-                model.column_embeddings(table),
-                snapshot.column_embeddings(table)
-            );
+            snapshot.embed_batch_cells(&[table], &mut scratch);
+            assert_eq!(model.column_embeddings(table), row_vecs(&scratch.embedding));
         }
         // Consuming freeze agrees too (moves the very same weights).
         let frozen = model.into_frozen();

@@ -289,9 +289,8 @@ mod tests {
         }
     }
 
-    /// Every width, batch shape, sampler and cell source predicts exactly
-    /// what `predict_corpus` predicts and embeds exactly what
-    /// `column_embeddings` embeds.
+    /// Every width, batch shape, sampler and cell source predicts and
+    /// embeds exactly what the unbatched reference does.
     #[test]
     fn fanout_is_bit_identical_at_every_width_shape_sampler_and_source() {
         for kind in [
@@ -302,10 +301,10 @@ mod tests {
             let predictor = predictor(kind);
             for (shape, tables) in shapes() {
                 let corpus = Corpus::new(tables.clone());
-                let want = predictor.predict_corpus(&corpus);
+                let want = predictor.reference_predict_corpus(&corpus);
                 let want_embed: Vec<Vec<u32>> = tables
                     .iter()
-                    .flat_map(|t| predictor.column_embeddings(t))
+                    .flat_map(|t| predictor.reference_column_embeddings(t))
                     .map(|row| bits(&row))
                     .collect();
                 let bufs = table_bufs(&tables);
@@ -392,7 +391,7 @@ mod tests {
                         }
                     }
                 }
-                let want = predictor.predict_corpus(&Corpus::new(tables.clone()));
+                let want = predictor.reference_predict_corpus(&Corpus::new(tables.clone()));
                 let batch: Vec<&Table> = tables.iter().collect();
                 for (scratch, width) in scratches.iter_mut().zip(WIDTHS) {
                     let what = format!("capacity {capacity} round {round} width {width}");

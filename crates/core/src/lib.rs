@@ -36,9 +36,11 @@
 //! interior mutability), so one frozen artifact can serve any number of
 //! threads concurrently, and its batched entry points
 //! ([`SatoPredictor::predict_corpus_batched`]) already estimate a batch's
-//! topics on every core the process may run on. It round-trips through
-//! JSON ([`SatoPredictor::to_json`] / [`SatoPredictor::from_json`]) as a
-//! deployable artifact that reproduces the saved predictions bit for bit.
+//! topics on every core the process may run on. It round-trips through the
+//! `SATOART1` binary artifact ([`SatoPredictor::save`] /
+//! [`SatoPredictor::load`], in memory [`SatoPredictor::to_bytes`] /
+//! [`SatoPredictor::from_bytes`]), which reproduces the saved predictions
+//! bit for bit.
 //!
 //! ```no_run
 //! use sato::{SatoConfig, SatoModel, SatoPredictor, SatoVariant};
@@ -52,10 +54,10 @@
 //!
 //! // ... freeze into an immutable, Send + Sync artifact ...
 //! let predictor = model.into_predictor();
-//! predictor.save("sato_full.json").unwrap();
+//! predictor.save("sato_full.satoart").unwrap();
 //!
 //! // ... and serve, table by table or in column micro-batches.
-//! let served = SatoPredictor::load("sato_full.json").unwrap();
+//! let served = SatoPredictor::load("sato_full.satoart").unwrap();
 //! for table in split.test.iter().take(3) {
 //!     println!("table {} -> {:?}", table.id, served.predict(table));
 //! }

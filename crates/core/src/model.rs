@@ -63,7 +63,7 @@ impl SatoVariant {
 
 /// Wall-clock training cost, reported separately for the column-wise model
 /// ("Features" in Table 2) and the CRF layer ("Structured").
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TrainTimings {
     /// Seconds spent training the column-wise network (plus the LDA model
     /// for topic-aware variants).
@@ -82,7 +82,7 @@ pub struct SatoModel {
 }
 
 /// Predictions for one table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TablePrediction {
     /// The table's id.
     pub table_id: u64,

@@ -7,9 +7,13 @@
 //! read-optimised side of that split: it owns the column-wise network
 //! weights (with BatchNorm running statistics), the optional CRF layer and
 //! the configuration, exposes every prediction entry point by `&self`,
-//! round-trips through JSON as a deployable artifact, and serves a corpus
-//! in column micro-batches with [`SatoPredictor::predict_corpus_batched`],
-//! whose topic estimation runs on every core the process may use.
+//! round-trips through the `SATOART1` binary artifact
+//! ([`crate::artifact`]), and serves a corpus in column micro-batches with
+//! [`SatoPredictor::predict_corpus_batched`], whose topic estimation runs
+//! on every core the process may use.
+//!
+//! Every entry point runs on one batched core: a single table is a batch
+//! of one, so per-table and batched predictions cannot drift apart.
 //!
 //! ```no_run
 //! use sato::{SatoConfig, SatoModel, SatoVariant};
@@ -18,57 +22,56 @@
 //! let corpus = default_corpus(200, 42);
 //! let model = SatoModel::train(&corpus, SatoConfig::fast(), SatoVariant::Full);
 //! let predictor = model.into_predictor(); // frozen, Send + Sync
-//! let json = predictor.to_json(); // deployable artifact
-//! let served = sato::SatoPredictor::from_json(&json).unwrap();
+//! let bytes = predictor.to_bytes(); // deployable SATOART1 artifact
+//! let served = sato::SatoPredictor::from_bytes(&bytes).unwrap();
 //! assert_eq!(
 //!     served.predict(&corpus.tables[0]),
 //!     predictor.predict(&corpus.tables[0])
 //! );
 //! ```
 
-use crate::columnwise::{types_from_rows, ColumnwiseInference, FrozenColumnwise, ServingScratch};
+use crate::columnwise::{
+    row_vecs, types_from_rows, ColumnwiseInference, FrozenColumnwise, ServingScratch,
+};
 use crate::config::SatoConfig;
-use crate::dataset::Standardizer;
-use crate::model::{gold_of, SatoVariant, TablePrediction};
+use crate::model::{SatoVariant, TablePrediction};
 use crate::structured::StructuredLayer;
 use sato_crf::LinearChainCrf;
-use sato_features::FeatureGroup;
-use sato_nn::serialize::{LoadError, StateDict};
+use sato_nn::serialize::LoadError;
 use sato_tabular::colstore::{ColStoreError, ColStoreReader, TableBuf};
 use sato_tabular::table::{Corpus, Table, TableCells};
 use sato_tabular::types::SemanticType;
-use sato_topic::{SamplerKind, TableIntentEstimator};
-use serde::{Deserialize, Serialize};
-
-/// Version tag written into serialized predictor artifacts.
-const FORMAT_VERSION: u64 = 1;
+use sato_topic::SamplerKind;
+use std::borrow::Borrow;
+use std::convert::Infallible;
 
 /// Error raised when loading a serialized [`SatoPredictor`] artifact.
 #[derive(Debug)]
 pub enum PredictorError {
-    /// The artifact is not valid JSON or does not match the expected shape.
+    /// The artifact's `META` section is not valid JSON or does not match
+    /// the expected shape.
     Json(serde_json::Error),
     /// The artifact was written by an incompatible format version.
     UnsupportedVersion(u64),
     /// The stored weights do not fit the architecture described by the
     /// stored configuration (count/shape mismatch).
     State(LoadError),
-    /// The artifact's fields are mutually inconsistent (e.g. a topic-aware
-    /// model without its topic estimator), which would panic at predict
+    /// The artifact's fields are mutually inconsistent (e.g. a scaler count
+    /// that does not match the input groups), which would panic at predict
     /// time if loaded.
     Inconsistent(&'static str),
     /// Reading or writing the artifact file failed.
     Io(std::io::Error),
-    /// A binary artifact ended before the named structure was complete.
+    /// The artifact ended before the named structure was complete.
     Truncated(&'static str),
-    /// A binary artifact does not start with the `SATOART1` magic bytes.
+    /// The artifact does not start with the `SATOART1` magic bytes.
     BadMagic,
-    /// A binary artifact section's stored checksum does not match its
-    /// payload (bit rot, torn write, or mid-file corruption).
+    /// A section's stored checksum does not match its payload (bit rot,
+    /// torn write, or mid-file corruption).
     Checksum(&'static str),
-    /// A binary artifact is missing a section the described model requires.
+    /// The artifact is missing a section the described model requires.
     MissingSection(&'static str),
-    /// A binary artifact section decoded to structurally invalid data.
+    /// A section decoded to structurally invalid data.
     Corrupt(String),
 }
 
@@ -138,28 +141,6 @@ impl From<std::io::Error> for PredictorError {
     fn from(e: std::io::Error) -> Self {
         PredictorError::Io(e)
     }
-}
-
-/// The serialized form of a predictor: everything needed to rebuild the
-/// frozen inference pipeline bit-for-bit (architecture from `config` +
-/// `group_widths`, weights and running statistics from the state dicts).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct PredictorArtifact {
-    format_version: u64,
-    variant: SatoVariant,
-    config: SatoConfig,
-    use_topic: bool,
-    /// The topic-sampler axis ([`SatoPredictor::with_sampler`]). Artifacts
-    /// written before this field existed deserialize as `Dense` (see
-    /// [`SatoPredictor::from_json`]), which is bit-identical to their
-    /// historical behaviour.
-    sampler: SamplerKind,
-    group_widths: Vec<usize>,
-    scalers: Vec<Standardizer>,
-    net: StateDict,
-    head: StateDict,
-    intent: Option<TableIntentEstimator>,
-    crf: Option<LinearChainCrf>,
 }
 
 /// Stable identity of a serving artifact, reported by
@@ -243,13 +224,13 @@ impl SatoPredictor {
     /// FNV-1a 64 over the predictor's `SATOART1` byte stream
     /// ([`Self::to_bytes`]), computed once at freeze/load time.
     ///
-    /// The hash is a stable *content* identity: freezing a model, loading
-    /// its JSON artifact and loading its binary artifact all yield the same
-    /// hash (the binary codec is canonical and round-trip-stable), while any
-    /// change to the served weights or serving configuration — including
-    /// [`Self::with_sampler`] — yields a different one. Hot-swap
-    /// observability is built on it: `sato-serve` tags every response with
-    /// the hash of the artifact that served it.
+    /// The hash is a stable *content* identity: freezing a model and
+    /// loading its artifact yield the same hash (the binary codec is
+    /// canonical and round-trip-stable), while any change to the served
+    /// weights or serving configuration — including [`Self::with_sampler`]
+    /// — yields a different one. Hot-swap observability is built on it:
+    /// `sato-serve` tags every response with the hash of the artifact that
+    /// served it.
     pub fn content_hash(&self) -> u64 {
         self.content_hash
     }
@@ -290,8 +271,7 @@ impl SatoPredictor {
     /// of topic estimation:
     ///
     /// * [`SamplerKind::Dense`] (default) — the exact collapsed sweep,
-    ///   bit-identical to historical predictions and to every saved
-    ///   artifact that predates the sampler field.
+    ///   bit-identical to historical predictions.
     /// * [`SamplerKind::SparseAlias`] — `O(k_d)`-per-token sparse/alias
     ///   sampling; statistically close but not bit-identical. The per-word
     ///   alias tables are pre-built **here** (freeze time), never on the
@@ -304,9 +284,10 @@ impl SatoPredictor {
     ///
     /// The choice is respected by every serving entry point (`predict`,
     /// `predict_corpus`, `predict_corpus_batched`, `predict_batch`, …) and
-    /// serialized into the JSON artifact, so a loaded predictor reproduces
-    /// the saved one bit for bit. For variants without a topic estimator
-    /// the kind is recorded but predictions are unaffected.
+    /// recorded in the `SATOART1` artifact's `META` section (the alias
+    /// samplers' tables in its `ALIA` section), so a loaded predictor
+    /// reproduces the saved one bit for bit. For variants without a topic
+    /// estimator the kind is recorded but predictions are unaffected.
     pub fn with_sampler(mut self, kind: SamplerKind) -> Self {
         self.columnwise = self.columnwise.with_sampler_kind(kind);
         // The sampler is part of the serialized artifact, so the content
@@ -326,26 +307,25 @@ impl SatoPredictor {
     }
 
     /// Per-column probability rows from the column-wise stage (before any
-    /// structured decoding).
+    /// structured decoding): a batch of one through a fresh scratch.
     pub fn predict_proba(&self, table: &Table) -> Vec<Vec<f32>> {
         self.columnwise.predict_proba(table)
     }
 
-    /// Predict the semantic type of every column of a table.
+    /// Predict the semantic type of every column of a table: a batch of one
+    /// through a fresh scratch, which never queries the core count or wakes
+    /// a helper thread.
     pub fn predict(&self, table: &Table) -> Vec<SemanticType> {
-        // The probability rows stay in one flat row-major matrix end to end
-        // (no per-column Vec<Vec<f32>> on this path).
-        let probs = self.columnwise.predict_proba_matrix(table);
-        match &self.structured {
-            Some(layer) => layer.decode_matrix(&probs),
-            None => types_from_rows(&probs, 0, probs.rows()),
-        }
+        let mut scratch = ServingScratch::new();
+        self.columnwise.infer_batch_cells(&[table], &mut scratch);
+        self.decode(&mut scratch, 0, table.num_columns())
     }
 
     /// Column embeddings (the final hidden representation before the output
-    /// layer; Section 5.6 / Figure 10).
+    /// layer; Section 5.6 / Figure 10): a batch of one through a fresh
+    /// scratch.
     pub fn column_embeddings(&self, table: &Table) -> Vec<Vec<f32>> {
-        self.columnwise.column_embeddings(table)
+        row_vecs(self.embed_batch(&[table], &mut ServingScratch::new()))
     }
 
     /// Width of the column-embedding space (the network's final hidden
@@ -359,8 +339,7 @@ impl SatoPredictor {
     /// [`ServingScratch`]: the returned matrix (one row per column,
     /// [`Self::embedding_dim`] wide) borrows the scratch's reusable
     /// embedding buffer, so a warm loop extracts embeddings table after
-    /// table with **zero steady-state allocations** — and every row is
-    /// bit-identical to the allocating path.
+    /// table with **zero steady-state allocations**.
     pub fn column_embeddings_into<'s>(
         &self,
         table: &Table,
@@ -371,11 +350,9 @@ impl SatoPredictor {
 
     /// Run exactly one micro-batch to the **column embeddings** (no
     /// classification head, no CRF): one row per column, table after table
-    /// in order, borrowed from the scratch. The batched counterpart of
-    /// [`Self::column_embeddings`] and the embedding sibling of
-    /// [`Self::predict_batch`] — same feature extraction, topic
-    /// estimation (memo included) and network trunk, so rows are
-    /// bit-identical to the per-table path. An empty batch yields a 0-row
+    /// in order, borrowed from the scratch. The embedding sibling of
+    /// [`Self::predict_batch`] — same feature extraction, topic estimation
+    /// (memo included) and network trunk. An empty batch yields a 0-row
     /// matrix.
     pub fn embed_batch<'s, T: TableCells + ?Sized>(
         &self,
@@ -400,54 +377,33 @@ impl SatoPredictor {
         scratch: &mut ServingScratch,
         mut on_column: impl FnMut(u64, u32, &[f32]),
     ) {
-        let batch_cols = batch_cols.max(1);
-        let mut batch: Vec<&Table> = Vec::new();
-        let mut pending_cols = 0usize;
-        for table in &corpus.tables {
-            batch.push(table);
-            pending_cols += table.num_columns();
-            if pending_cols >= batch_cols {
-                self.flush_embed_batch(&batch, scratch, &mut on_column);
-                batch.clear();
-                pending_cols = 0;
-            }
-        }
-        if !batch.is_empty() {
-            self.flush_embed_batch(&batch, scratch, &mut on_column);
-        }
+        let mut tables = corpus.tables.iter();
+        let Ok(()) = for_each_batch(
+            batch_cols,
+            |_| Ok::<_, Infallible>(tables.next()),
+            |batch: &[&Table]| {
+                let embedding = self.embed_batch(batch, scratch);
+                let mut row = 0usize;
+                for table in batch {
+                    for c in 0..table.num_columns() {
+                        on_column(table.id, c as u32, embedding.row(row));
+                        row += 1;
+                    }
+                }
+            },
+        );
     }
 
-    /// Embed one micro-batch and hand each row to `on_column` with its
-    /// `(table_id, col_idx)` identity.
-    fn flush_embed_batch<T: TableCells + ?Sized>(
-        &self,
-        batch: &[&T],
-        scratch: &mut ServingScratch,
-        on_column: &mut impl FnMut(u64, u32, &[f32]),
-    ) {
-        scratch.bind_artifact(self.content_hash);
-        self.columnwise.embed_batch_cells(batch, scratch);
-        let mut row = 0usize;
-        for table in batch {
-            for c in 0..table.cell_columns() {
-                on_column(table.table_id(), c as u32, scratch.embedding.row(row));
-                row += 1;
-            }
-        }
-    }
-
-    fn predict_table(&self, table: &Table) -> TablePrediction {
-        TablePrediction {
-            table_id: table.id,
-            gold: gold_of(table),
-            predicted: self.predict(table),
-        }
-    }
-
-    /// Predict every table of a corpus sequentially (see
-    /// [`TablePrediction::gold`] for the empty-gold convention).
+    /// Predict every table of a corpus, one table per batch through one
+    /// reused scratch (see [`TablePrediction::gold`] for the empty-gold
+    /// convention).
     pub fn predict_corpus(&self, corpus: &Corpus) -> Vec<TablePrediction> {
-        corpus.iter().map(|t| self.predict_table(t)).collect()
+        let mut scratch = ServingScratch::new();
+        let mut out = Vec::with_capacity(corpus.len());
+        for table in corpus.iter() {
+            self.flush_batch(&[table], &mut scratch, &mut out);
+        }
+        out
     }
 
     /// Predict every table of a corpus in **column micro-batches**: tables
@@ -473,7 +429,7 @@ impl SatoPredictor {
         corpus: &Corpus,
         batch_cols: usize,
     ) -> Vec<TablePrediction> {
-        self.predict_tables_batched(&corpus.tables, batch_cols, &mut ServingScratch::new())
+        self.predict_corpus_batched_with(corpus, batch_cols, &mut ServingScratch::new())
     }
 
     /// [`Self::predict_corpus_batched`] with a caller-owned
@@ -486,41 +442,21 @@ impl SatoPredictor {
         batch_cols: usize,
         scratch: &mut ServingScratch,
     ) -> Vec<TablePrediction> {
-        self.predict_tables_batched(&corpus.tables, batch_cols, scratch)
-    }
-
-    /// Batched prediction over a slice of tables, reusing one serving
-    /// scratch across all micro-batches.
-    fn predict_tables_batched(
-        &self,
-        tables: &[Table],
-        batch_cols: usize,
-        scratch: &mut ServingScratch,
-    ) -> Vec<TablePrediction> {
-        let batch_cols = batch_cols.max(1);
-        let mut out = Vec::with_capacity(tables.len());
-        let mut batch: Vec<&Table> = Vec::new();
-        let mut pending_cols = 0usize;
-        for table in tables {
-            batch.push(table);
-            pending_cols += table.num_columns();
-            if pending_cols >= batch_cols {
-                self.flush_batch(&batch, scratch, &mut out);
-                batch.clear();
-                pending_cols = 0;
-            }
-        }
-        if !batch.is_empty() {
-            self.flush_batch(&batch, scratch, &mut out);
-        }
+        let mut out = Vec::with_capacity(corpus.len());
+        let mut tables = corpus.tables.iter();
+        let Ok(()) = for_each_batch(
+            batch_cols,
+            |_| Ok::<_, Infallible>(tables.next()),
+            |batch: &[&Table]| self.flush_batch(batch, scratch, &mut out),
+        );
         out
     }
 
     /// Run one micro-batch through the network and split the probability
     /// rows back per table for decoding. Generic over the cell source, so
     /// in-memory tables and decoded colstore frames share one code path
-    /// (and therefore cannot drift): [`TableCells::gold_labels`] reproduces
-    /// the [`gold_of`] empty-gold convention exactly.
+    /// (and therefore cannot drift): [`TableCells::gold_labels`] keeps the
+    /// empty-gold convention of [`TablePrediction::gold`].
     fn flush_batch<T: TableCells + ?Sized>(
         &self,
         batch: &[&T],
@@ -533,22 +469,28 @@ impl SatoPredictor {
         // stale and must not be replayed.
         scratch.bind_artifact(self.content_hash);
         self.columnwise.infer_batch_cells(batch, scratch);
-        // Disjoint borrows: the probability matrix is read row-range by row
-        // range while the unary buffer is reused per table.
-        let ServingScratch { probs, unary, .. } = scratch;
         let mut row = 0usize;
         for table in batch {
             let end = row + table.cell_columns();
-            let predicted = match &self.structured {
-                Some(layer) => layer.decode_rows(probs, row, end, unary),
-                None => types_from_rows(probs, row, end),
-            };
             out.push(TablePrediction {
                 table_id: table.table_id(),
                 gold: table.gold_labels().to_vec(),
-                predicted,
+                predicted: self.decode(scratch, row, end),
             });
             row = end;
+        }
+    }
+
+    /// Decode rows `[start, end)` of the last batch's probabilities (one
+    /// table) into types: CRF Viterbi when the variant has the structured
+    /// layer, row-wise argmax otherwise.
+    fn decode(&self, scratch: &mut ServingScratch, start: usize, end: usize) -> Vec<SemanticType> {
+        // Disjoint borrows: the probability matrix is read while the unary
+        // buffer is reused.
+        let ServingScratch { probs, unary, .. } = scratch;
+        match &self.structured {
+            Some(layer) => layer.decode_rows(probs, start, end, unary),
+            None => types_from_rows(probs, start, end),
         }
     }
 
@@ -592,33 +534,15 @@ impl SatoPredictor {
         batch_cols: usize,
         scratch: &mut ServingScratch,
     ) -> Result<Vec<TablePrediction>, ColStoreError> {
-        let batch_cols = batch_cols.max(1);
         let mut out = Vec::new();
-        // Decoded-frame pool: `used` buffers hold the pending micro-batch;
-        // buffers past `used` are warm spares from earlier batches.
-        let mut pool: Vec<TableBuf> = Vec::new();
-        let mut used = 0usize;
-        let mut pending_cols = 0usize;
-        loop {
-            if used == pool.len() {
-                pool.push(TableBuf::new());
-            }
-            if !reader.read_into(&mut pool[used])? {
-                break;
-            }
-            pending_cols += pool[used].num_columns();
-            used += 1;
-            if pending_cols >= batch_cols {
-                let batch: Vec<&TableBuf> = pool[..used].iter().collect();
-                self.flush_batch(&batch, scratch, &mut out);
-                used = 0;
-                pending_cols = 0;
-            }
-        }
-        if used > 0 {
-            let batch: Vec<&TableBuf> = pool[..used].iter().collect();
-            self.flush_batch(&batch, scratch, &mut out);
-        }
+        for_each_batch(
+            batch_cols,
+            |spare: Option<TableBuf>| {
+                let mut buf = spare.unwrap_or_default();
+                Ok::<_, ColStoreError>(reader.read_into(&mut buf)?.then_some(buf))
+            },
+            |batch: &[&TableBuf]| self.flush_batch(batch, scratch, &mut out),
+        )?;
         Ok(out)
     }
 
@@ -633,113 +557,84 @@ impl SatoPredictor {
         let mut reader = ColStoreReader::new(bytes)?;
         self.predict_colstore(&mut reader, batch_cols, &mut ServingScratch::new())
     }
+}
 
-    /// [`Self::predict_colstore`] over a colstore file on disk (buffered
-    /// reads, fresh scratch).
-    pub fn predict_colstore_path(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        batch_cols: usize,
-    ) -> Result<Vec<TablePrediction>, ColStoreError> {
-        let mut reader = sato_tabular::colstore::open_path(path)?;
-        self.predict_colstore(&mut reader, batch_cols, &mut ServingScratch::new())
-    }
-
-    /// Serialize the whole predictor (config, weights, running statistics,
-    /// scalers, topic model, CRF) into a deployable JSON artifact.
-    pub fn to_json(&self) -> String {
-        let artifact = PredictorArtifact {
-            format_version: FORMAT_VERSION,
-            variant: self.variant,
-            config: self.config.clone(),
-            use_topic: self.columnwise.uses_topic(),
-            sampler: self.columnwise.sampler_kind(),
-            group_widths: self.columnwise.group_widths().to_vec(),
-            scalers: self.columnwise.scalers().to_vec(),
-            net: self.columnwise.net_state(),
-            head: self.columnwise.head_state(),
-            intent: self.columnwise.intent_estimator().cloned(),
-            crf: self.structured.as_ref().map(|s| s.crf().clone()),
+/// The one micro-batch rule of every corpus entry point: tables are taken
+/// from `next` in order until they carry at least `batch_cols` columns
+/// (clamped to at least 1), each full batch goes to `flush`, and so does
+/// the remainder at the end. A zero-column table rides in whichever batch
+/// it falls into.
+///
+/// `next` is handed a warm slot left over from an earlier batch (or `None`
+/// while there is none), and returns the next table's slot, or `None` once
+/// the source is exhausted — so a decoding source recycles its buffers,
+/// and a borrowing source simply ignores the spare.
+fn for_each_batch<S, T, E>(
+    batch_cols: usize,
+    mut next: impl FnMut(Option<S>) -> Result<Option<S>, E>,
+    mut flush: impl FnMut(&[&T]),
+) -> Result<(), E>
+where
+    S: Borrow<T>,
+    T: TableCells + ?Sized,
+{
+    let batch_cols = batch_cols.max(1);
+    // `slots[..used]` hold the open batch; later slots are warm spares.
+    let mut slots: Vec<S> = Vec::new();
+    let mut used = 0usize;
+    let mut pending_cols = 0usize;
+    let mut flush_open = |slots: &[S]| flush(&slots.iter().map(S::borrow).collect::<Vec<_>>());
+    loop {
+        let spare = if slots.len() > used {
+            slots.pop()
+        } else {
+            None
         };
-        serde_json::to_string(&artifact).expect("predictor artifact serialization cannot fail")
+        let Some(slot) = next(spare)? else { break };
+        pending_cols += slot.borrow().cell_columns();
+        slots.push(slot);
+        let last = slots.len() - 1;
+        slots.swap(used, last);
+        used += 1;
+        if pending_cols >= batch_cols {
+            flush_open(&slots[..used]);
+            used = 0;
+            pending_cols = 0;
+        }
+    }
+    if used > 0 {
+        flush_open(&slots[..used]);
+    }
+    Ok(())
+}
+
+/// The unbatched reference the batched core is checked against.
+#[cfg(test)]
+impl SatoPredictor {
+    /// Per table: `extract_inputs` → `predict_proba_from_inputs` → CRF
+    /// decode.
+    pub(crate) fn reference_predict_corpus(&self, corpus: &Corpus) -> Vec<TablePrediction> {
+        corpus
+            .iter()
+            .map(|table| {
+                let inputs = self.columnwise.extract_inputs(table);
+                let proba = self.columnwise.predict_proba_from_inputs(&inputs);
+                TablePrediction {
+                    table_id: table.id,
+                    gold: crate::model::gold_of(table),
+                    predicted: match &self.structured {
+                        Some(layer) => layer.decode_proba(&proba),
+                        None => crate::columnwise::types_from_proba(&proba),
+                    },
+                }
+            })
+            .collect()
     }
 
-    /// Rebuild a predictor from a JSON artifact written by
-    /// [`Self::to_json`]. The loaded predictor reproduces the predictions of
-    /// the saved one bit for bit.
-    ///
-    /// Artifacts written before the sampler axis existed carry no `sampler`
-    /// field; they load as [`SamplerKind::Dense`], which is exactly the
-    /// sampler they were serving with. An *unknown* sampler name, by
-    /// contrast, is a hard load error — silently falling back could serve a
-    /// different accuracy/latency trade-off than the artifact's author
-    /// chose.
-    pub fn from_json(json: &str) -> Result<Self, PredictorError> {
-        // Parse to the raw value tree first so the missing-field default can
-        // be injected without weakening any other field's presence check.
-        let mut value: serde::Value = serde_json::from_str(json)?;
-        if let serde::Value::Map(entries) = &mut value {
-            if !entries.iter().any(|(key, _)| key == "sampler") {
-                entries.push((
-                    "sampler".to_string(),
-                    serde::Value::Str("Dense".to_string()),
-                ));
-            }
-        }
-        let artifact = PredictorArtifact::from_value(&value).map_err(serde_json::Error::from)?;
-        if artifact.format_version != FORMAT_VERSION {
-            return Err(PredictorError::UnsupportedVersion(artifact.format_version));
-        }
-        // Cross-field consistency: a schema-valid artifact must not be able
-        // to panic at predict time (errors-not-panics contract).
-        if artifact.use_topic && artifact.intent.is_none() {
-            return Err(PredictorError::Inconsistent(
-                "topic-aware artifact is missing its table intent estimator",
-            ));
-        }
-        let expected_groups = FeatureGroup::ALL.len() + usize::from(artifact.use_topic);
-        if artifact.group_widths.len() != expected_groups {
-            return Err(PredictorError::Inconsistent(
-                "group_widths count does not match the feature groups of the model",
-            ));
-        }
-        if artifact.scalers.len() != artifact.group_widths.len() {
-            return Err(PredictorError::Inconsistent(
-                "scaler count does not match the input group count",
-            ));
-        }
-        let columnwise = FrozenColumnwise::from_state(
-            &artifact.config,
-            artifact.use_topic,
-            artifact.intent,
-            artifact.scalers,
-            artifact.group_widths,
-            &artifact.net,
-            &artifact.head,
-            artifact.sampler,
-            None,
-        )?;
-        // `from_parts` computes the content hash over the canonical binary
-        // form, so a JSON-loaded predictor hashes identically to the same
-        // artifact loaded from its `SATOART1` file.
-        Ok(SatoPredictor::from_parts(
-            artifact.variant,
-            artifact.config,
-            columnwise,
-            artifact.crf,
-        ))
-    }
-
-    /// Write the JSON artifact to a file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), PredictorError> {
-        std::fs::write(path, self.to_json())?;
-        Ok(())
-    }
-
-    /// Load a predictor from a JSON artifact file.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, PredictorError> {
-        let json = std::fs::read_to_string(path)?;
-        Self::from_json(&json)
+    /// Per table: `extract_inputs` → the network trunk.
+    pub(crate) fn reference_column_embeddings(&self, table: &Table) -> Vec<Vec<f32>> {
+        let inputs = self.columnwise.extract_inputs(table);
+        self.columnwise.embeddings_from_inputs(&inputs)
     }
 }
 
@@ -784,28 +679,17 @@ mod tests {
         assert!(by_move.uses_topic());
     }
 
-    #[test]
-    fn json_round_trip_is_bit_identical() {
-        let corpus = default_corpus(35, 5);
-        let predictor =
-            SatoModel::train(&corpus, tiny_config(), SatoVariant::SatoNoTopic).into_predictor();
-        let loaded = SatoPredictor::from_json(&predictor.to_json()).unwrap();
-        for table in corpus.iter().take(10) {
-            assert_eq!(predictor.predict_proba(table), loaded.predict_proba(table));
-            assert_eq!(predictor.predict(table), loaded.predict(table));
-        }
-        assert_eq!(loaded.variant(), SatoVariant::SatoNoTopic);
-    }
-
+    /// Input that is not an artifact at all: shorter than a header, then a
+    /// JSON document of the retired artifact format.
     #[test]
     fn corrupted_artifacts_are_rejected() {
         assert!(matches!(
-            SatoPredictor::from_json("not json at all"),
-            Err(PredictorError::Json(_))
+            SatoPredictor::from_bytes(b"not json at all"),
+            Err(PredictorError::Truncated(_))
         ));
         assert!(matches!(
-            SatoPredictor::from_json("{\"format_version\": 1}"),
-            Err(PredictorError::Json(_))
+            SatoPredictor::from_bytes(b"{\"format_version\": 1}"),
+            Err(PredictorError::BadMagic)
         ));
     }
 
@@ -814,29 +698,11 @@ mod tests {
         let corpus = default_corpus(30, 6);
         let predictor =
             SatoModel::train(&corpus, tiny_config(), SatoVariant::Base).into_predictor();
-        let json =
-            predictor
-                .to_json()
-                .replacen("\"format_version\":1", "\"format_version\":999", 1);
+        let mut bytes = predictor.to_bytes();
+        bytes[8..12].copy_from_slice(&999u32.to_le_bytes());
         assert!(matches!(
-            SatoPredictor::from_json(&json),
+            SatoPredictor::from_bytes(&bytes),
             Err(PredictorError::UnsupportedVersion(999))
-        ));
-    }
-
-    #[test]
-    fn inconsistent_artifacts_are_rejected_not_panicking() {
-        let corpus = default_corpus(30, 6);
-        let predictor =
-            SatoModel::train(&corpus, tiny_config(), SatoVariant::Base).into_predictor();
-        // A schema-valid artifact claiming to be topic-aware but carrying no
-        // intent estimator must fail at load time, not panic at predict time.
-        let json = predictor
-            .to_json()
-            .replacen("\"use_topic\":false", "\"use_topic\":true", 1);
-        assert!(matches!(
-            SatoPredictor::from_json(&json),
-            Err(PredictorError::Inconsistent(_))
         ));
     }
 
@@ -848,7 +714,8 @@ mod tests {
         let total_cols: usize = corpus.iter().map(|t| t.num_columns()).sum();
         for variant in SatoVariant::ALL {
             let predictor = SatoModel::train(&corpus, tiny_config(), variant).into_predictor();
-            let sequential = predictor.predict_corpus(&corpus);
+            let sequential = predictor.reference_predict_corpus(&corpus);
+            assert_eq!(sequential, predictor.predict_corpus(&corpus));
             for batch_cols in [1, 3, 16, total_cols, total_cols + 100] {
                 let batched = predictor.predict_corpus_batched(&corpus, batch_cols);
                 assert_eq!(
@@ -876,7 +743,8 @@ mod tests {
             Table::unlabelled(902, vec![]),
             corpus.tables[1].clone(),
         ]);
-        let sequential = predictor.predict_corpus(&ragged);
+        let sequential = predictor.reference_predict_corpus(&ragged);
+        assert_eq!(sequential, predictor.predict_corpus(&ragged));
         // One warm caller-owned scratch across every batch width.
         let mut scratch = ServingScratch::new();
         for batch_cols in [1, 2, 1000] {
@@ -909,7 +777,8 @@ mod tests {
         // Per-table into-path parity, twice (cold buffers, then warm).
         for pass in 0..2 {
             for table in corpus.iter().take(8) {
-                let reference = predictor.column_embeddings(table);
+                let reference = predictor.reference_column_embeddings(table);
+                assert_eq!(predictor.column_embeddings(table), reference);
                 let into = predictor.column_embeddings_into(table, &mut scratch);
                 assert_eq!(into.rows(), reference.len());
                 assert_eq!(into.cols(), predictor.embedding_dim());
@@ -939,7 +808,7 @@ mod tests {
             .iter()
             .flat_map(|t| {
                 predictor
-                    .column_embeddings(t)
+                    .reference_column_embeddings(t)
                     .into_iter()
                     .enumerate()
                     .map(|(c, e)| (t.id, c as u32, e))
@@ -971,7 +840,7 @@ mod tests {
         let corpus = default_corpus(20, 8);
         let predictor =
             SatoModel::train(&corpus, tiny_config(), SatoVariant::Full).into_predictor();
-        let sequential = predictor.predict_corpus(&corpus);
+        let sequential = predictor.reference_predict_corpus(&corpus);
         let mut scratch = ServingScratch::new().with_topic_memo();
         assert_eq!(scratch.topic_memo_len(), 0);
         assert_eq!(
@@ -979,7 +848,7 @@ mod tests {
             crate::columnwise::DEFAULT_TOPIC_MEMO_CAPACITY
         );
         // First serve fills the memo, later serves hit it — output must stay
-        // bit-identical to the per-table path every time.
+        // bit-identical to the unbatched reference every time.
         for pass in 0..3 {
             assert_eq!(
                 sequential,
@@ -999,7 +868,7 @@ mod tests {
         let corpus = default_corpus(12, 8);
         let predictor =
             SatoModel::train(&corpus, tiny_config(), SatoVariant::Full).into_predictor();
-        let sequential = predictor.predict_corpus(&corpus);
+        let sequential = predictor.reference_predict_corpus(&corpus);
         let mut scratch = ServingScratch::new().with_topic_memo_capacity(3);
         assert_eq!(scratch.topic_memo_capacity(), 3);
         for pass in 0..3 {
@@ -1024,19 +893,16 @@ mod tests {
         assert_eq!(tiny.topic_memo_len(), 1);
     }
 
-    /// Satellite: the content hash is a stable identity — freezing, the
-    /// JSON round trip and the binary round trip all agree — and it tracks
-    /// the artifact's content (a different sampler, or differently-trained
-    /// weights, hash differently).
+    /// The content hash is a stable identity — freezing and loading the
+    /// artifact agree — and it tracks the artifact's content (a different
+    /// sampler, or differently-trained weights, hash differently).
     #[test]
     fn content_hash_is_consistent_across_load_paths_and_tracks_content() {
         let corpus = default_corpus(30, 6);
         let predictor =
             SatoModel::train(&corpus, tiny_config(), SatoVariant::Full).into_predictor();
         let frozen_hash = predictor.content_hash();
-        let json_loaded = SatoPredictor::from_json(&predictor.to_json()).unwrap();
         let binary_loaded = SatoPredictor::from_bytes(&predictor.to_bytes()).unwrap();
-        assert_eq!(frozen_hash, json_loaded.content_hash());
         assert_eq!(frozen_hash, binary_loaded.content_hash());
         // The meta snapshot carries the same identity.
         let meta = predictor.artifact_meta();
@@ -1048,7 +914,7 @@ mod tests {
         assert_eq!(meta, binary_loaded.artifact_meta());
         // A different serving configuration is a different content identity,
         // consistently across load paths again.
-        let sparse = json_loaded.with_sampler(sato_topic::SamplerKind::SparseAlias);
+        let sparse = binary_loaded.with_sampler(sato_topic::SamplerKind::SparseAlias);
         assert_ne!(sparse.content_hash(), frozen_hash);
         assert_eq!(
             sparse.content_hash(),
@@ -1078,7 +944,7 @@ mod tests {
         assert_ne!(a.content_hash(), b.content_hash());
         let mut scratch = ServingScratch::new().with_topic_memo();
         let served_a = a.predict_corpus_batched_with(&corpus, 64, &mut scratch);
-        assert_eq!(served_a, a.predict_corpus(&corpus));
+        assert_eq!(served_a, a.reference_predict_corpus(&corpus));
         assert_eq!(scratch.topic_memo_len(), corpus.len());
         // Swap: serving even one table through B must clear A's cached
         // entries first — the memo ends up holding exactly B's one entry,
@@ -1086,7 +952,7 @@ mod tests {
         let first = Corpus::new(vec![corpus.tables[0].clone()]);
         assert_eq!(
             b.predict_corpus_batched_with(&first, 64, &mut scratch),
-            b.predict_corpus(&first)
+            b.reference_predict_corpus(&first)
         );
         assert_eq!(
             scratch.topic_memo_len(),
@@ -1096,7 +962,7 @@ mod tests {
         // The full corpus under B is B's fresh predictions, end to end.
         assert_eq!(
             b.predict_corpus_batched_with(&corpus, 64, &mut scratch),
-            b.predict_corpus(&corpus)
+            b.reference_predict_corpus(&corpus)
         );
         // Swapping back re-estimates under A again (the memo was rebound).
         assert_eq!(
@@ -1115,7 +981,7 @@ mod tests {
         assert_eq!(predictor.sampler_kind(), SamplerKind::Dense);
         let sparse = predictor.with_sampler(SamplerKind::SparseAlias);
         assert_eq!(sparse.sampler_kind(), SamplerKind::SparseAlias);
-        let loaded = SatoPredictor::from_json(&sparse.to_json()).unwrap();
+        let loaded = SatoPredictor::from_bytes(&sparse.to_bytes()).unwrap();
         assert_eq!(loaded.sampler_kind(), SamplerKind::SparseAlias);
         for table in corpus.iter().take(5) {
             assert_eq!(sparse.predict(table), loaded.predict(table));

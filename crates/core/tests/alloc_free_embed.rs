@@ -6,8 +6,8 @@
 //! heap allocations — features, topic estimation and the network trunk all
 //! run through reused buffers, and the result matrix is borrowed, not
 //! built. A counting global allocator makes that a hard assertion, and the
-//! same pass re-checks bit-parity with the allocating
-//! `column_embeddings` path.
+//! same pass re-checks bit-parity with the trained model's unbatched,
+//! allocating `column_embeddings` path.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a concurrent test would pollute the window between
@@ -53,13 +53,15 @@ fn warm_embedding_extraction_allocates_nothing() {
     config.lda.train_iterations = 15;
     config.crf.epochs = 2;
     let corpus = default_corpus(16, 21);
-    let predictor = SatoModel::train(&corpus, config, SatoVariant::Full).into_predictor();
+    let model = SatoModel::train(&corpus, config, SatoVariant::Full);
 
-    // The allocating reference rows, captured up front.
+    // The unbatched reference rows, captured up front from the live model
+    // (freezing moves these very weights).
     let reference: Vec<Vec<Vec<f32>>> = corpus
         .iter()
-        .map(|t| predictor.column_embeddings(t))
+        .map(|t| model.columnwise().column_embeddings(t))
         .collect();
+    let predictor = model.into_predictor();
 
     let mut scratch = ServingScratch::new();
     // Warm-up: two passes size every buffer (feature scratch, topic Gibbs

@@ -12,13 +12,11 @@
 //! space, marginals with forward–backward, and the MAP labelling with
 //! Viterbi — exactly the machinery the paper describes.
 
-use serde::{Deserialize, Serialize};
-
 /// A linear-chain CRF over `num_states` labels with a shared pairwise
 /// potential matrix. Unary potentials are supplied per sequence at call time
 /// (they come from the column-wise model), which is why they are not stored
 /// on the struct.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearChainCrf {
     num_states: usize,
     /// Row-major `num_states × num_states` pairwise potential matrix (log scale).

@@ -8,10 +8,9 @@ use sato::{SatoConfig, SatoModel, SatoVariant};
 use sato_tabular::split::k_fold;
 use sato_tabular::table::Corpus;
 use sato_tabular::types::SemanticType;
-use serde::{Deserialize, Serialize};
 
 /// The evaluation of one fold for one variant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FoldResult {
     /// Fold index.
     pub fold: usize,
@@ -22,7 +21,7 @@ pub struct FoldResult {
 }
 
 /// Aggregated cross-validation result for one variant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrossValResult {
     /// The evaluated variant.
     pub variant: SatoVariant,

@@ -11,10 +11,9 @@
 
 use sato_tabular::hierarchy::{category_of, same_category};
 use sato_tabular::types::SemanticType;
-use serde::{Deserialize, Serialize};
 
 /// Strict and category-level agreement of a set of predictions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierarchicalEvaluation {
     /// Number of evaluated columns.
     pub total: usize,

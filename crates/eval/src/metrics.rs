@@ -3,10 +3,9 @@
 //! F1 (sensitive to rare types), plus the full confusion matrix.
 
 use sato_tabular::types::{SemanticType, NUM_TYPES};
-use serde::{Deserialize, Serialize};
 
 /// Precision/recall/F1 and support of a single semantic type.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TypeMetrics {
     /// The semantic type.
     pub semantic_type: SemanticType,
@@ -27,7 +26,7 @@ pub struct TypeMetrics {
 }
 
 /// Aggregate evaluation of a set of (gold, predicted) column labels.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Evaluation {
     /// Per-type metrics, indexed by `SemanticType::index()`.
     pub per_type: Vec<TypeMetrics>,

@@ -14,10 +14,9 @@ use sato::{types_from_proba, InputGroup, SatoModel};
 use sato_features::FeatureGroup;
 use sato_tabular::table::Corpus;
 use sato_tabular::types::SemanticType;
-use serde::{Deserialize, Serialize};
 
 /// Importance of one input group.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GroupImportance {
     /// Display name of the group ("char", "word", "par", "rest", "topic").
     pub group: String,
@@ -28,7 +27,7 @@ pub struct GroupImportance {
 }
 
 /// The full permutation-importance analysis of one model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ImportanceReport {
     /// Baseline (unpermuted) evaluation.
     pub baseline_macro_f1: f64,

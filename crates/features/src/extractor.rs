@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// The four Sherlock feature groups (plus, at the model level, the Topic
 /// group added by Sato).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureGroup {
     /// Character distribution statistics.
     Char,
@@ -77,7 +77,7 @@ impl FeatureConfig {
 /// The extracted features of one column, kept per group so the models can
 /// route each group through its own subnetwork and so the permutation
 /// importance experiment (Figure 9) can shuffle one group at a time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnFeatures {
     /// Char group.
     pub char: Vec<f32>,

@@ -16,11 +16,10 @@ use crate::init::he_uniform;
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A trainable parameter: its current value and the gradient accumulated by
 /// the latest backward pass.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Param {
     /// Current parameter values.
     pub value: Matrix,

@@ -10,12 +10,11 @@
 
 use crate::layers::Param;
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A snapshot of every trainable parameter (and, for full-network captures,
 /// every buffer) of a network, in the stable traversal order of `params()` /
 /// `buffers()`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateDict {
     /// Parameter values, in traversal order.
     pub tensors: Vec<Matrix>,
@@ -268,24 +267,12 @@ fn push_f32s(out: &mut Vec<u8>, values: &[f32]) {
 }
 
 impl StateDict {
-    /// Serialize to a JSON string.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("state dict serialization cannot fail")
-    }
-
-    /// Deserialize from a JSON string.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
     /// Append the flat binary form to `out`: tensor count, then per tensor
     /// `rows u32 | cols u32 | rows·cols f32`, then buffer count and per
     /// buffer `len u32 | len f32` — everything little-endian, weight data
     /// laid out exactly as the row-major `Matrix` holds it in memory.
     ///
-    /// This is the section payload of the binary predictor artifact; JSON
-    /// (above) stays the debug/interchange form and both decode to equal
-    /// state dicts.
+    /// This is the section payload of the binary predictor artifact.
     pub fn write_bytes(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.tensors.len() as u32).to_le_bytes());
         for t in &self.tensors {
@@ -357,15 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_values() {
-        let a = net(3);
-        let state = state_dict(&a.params());
-        let json = state.to_json();
-        let back = StateDict::from_json(&json).unwrap();
-        assert_eq!(state, back);
-    }
-
-    #[test]
     fn count_mismatch_is_detected() {
         let mut a = net(1);
         let state = StateDict {
@@ -421,13 +399,14 @@ mod tests {
         // Evaluation-mode outputs (which depend on the running statistics)
         // must match bit for bit.
         assert_eq!(a.infer(&x), b.infer(&x));
-        // And the JSON round-trip preserves the whole thing.
-        let back = StateDict::from_json(&state.to_json()).unwrap();
-        assert_eq!(state, back);
+        // And the byte round trip preserves the whole thing.
+        let mut bytes = Vec::new();
+        state.write_bytes(&mut bytes);
+        assert_eq!(state, StateDict::from_bytes(&bytes).unwrap());
     }
 
     #[test]
-    fn byte_round_trip_is_bit_identical_and_matches_json() {
+    fn byte_round_trip_is_bit_identical() {
         let mut a = bn_net(9);
         let x = crate::matrix::Matrix::from_rows(&[vec![1.0, -0.5, 2.0], vec![0.5, 0.0, -3.0]]);
         for _ in 0..10 {
@@ -438,10 +417,16 @@ mod tests {
         state.write_bytes(&mut bytes);
         let back = StateDict::from_bytes(&bytes).unwrap();
         assert_eq!(state, back);
-        // Both persistence formats decode to the same state dict.
-        assert_eq!(back, StateDict::from_json(&state.to_json()).unwrap());
-        // And the binary form is far denser than the JSON text.
-        assert!(bytes.len() < state.to_json().len() / 2);
+        // Bit for bit, not merely equal as floats.
+        let bits = |s: &StateDict| -> Vec<u32> {
+            s.tensors
+                .iter()
+                .flat_map(|t| t.data())
+                .chain(s.buffers.iter().flatten())
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&state), bits(&back));
     }
 
     #[test]

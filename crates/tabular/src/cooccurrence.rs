@@ -9,10 +9,9 @@
 
 use crate::table::Corpus;
 use crate::types::{SemanticType, NUM_TYPES};
-use serde::{Deserialize, Serialize};
 
 /// A dense |T|×|T| matrix of co-occurrence counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CooccurrenceMatrix {
     counts: Vec<u64>,
 }

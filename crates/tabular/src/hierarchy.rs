@@ -9,10 +9,9 @@
 //! the evaluation crate adds hierarchy-aware metrics on top of it.
 
 use crate::types::SemanticType;
-use serde::{Deserialize, Serialize};
 
 /// Coarse parent categories of the 78 semantic types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TypeCategory {
     /// Geographic places and place attributes (city, country, region, …).
     Location,

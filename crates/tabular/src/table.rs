@@ -271,7 +271,7 @@ impl TableCells for Table {
 }
 
 /// A collection of tables: the dataset `D` of the paper (or a fold of it).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Corpus {
     /// The member tables.
     pub tables: Vec<Table>,

@@ -76,7 +76,7 @@ impl LdaConfig {
 }
 
 /// A trained LDA model: frozen topic–word counts plus the vocabulary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LdaModel {
     config: LdaConfig,
     vocab: Vocabulary,

@@ -11,10 +11,9 @@ use crate::intent::{TableIntentEstimator, TopicScratch};
 use crate::sampler::SamplerKind;
 use sato_tabular::table::Corpus;
 use sato_tabular::types::{SemanticType, NUM_TYPES};
-use serde::{Deserialize, Serialize};
 
 /// The analysis result for one topic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopicSummary {
     /// Topic index in the LDA model.
     pub topic: usize,
@@ -25,7 +24,7 @@ pub struct TopicSummary {
 }
 
 /// Per-type average topic distributions plus the derived topic summaries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopicTypeAnalysis {
     /// `type_topic[t][k]`: average probability of topic `k` for tables that
     /// contain a column of type `t`.

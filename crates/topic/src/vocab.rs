@@ -6,11 +6,10 @@
 //! strings and then concatenate all values in the table sequentially to form
 //! a 'document' for each table."*
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A token-to-id mapping with document-frequency based pruning.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
     token_to_id: HashMap<String, usize>,
     id_to_token: Vec<String>,

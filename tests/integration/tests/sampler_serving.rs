@@ -1,12 +1,12 @@
 //! Serving-level tests of the pluggable topic-sampler layer: the
 //! sparse/alias and Metropolis–Hastings samplers must be deterministic,
-//! internally consistent across every serving entry point, quantifiably
-//! close to the dense parity oracle, and faithfully round-tripped through
-//! the predictor artifact (including artifacts that predate the sampler
-//! field).
+//! consistent with the unbatched reference across every serving entry
+//! point, quantifiably close to the dense parity oracle, and faithfully
+//! round-tripped through the predictor artifact.
 
 use proptest::prelude::*;
 use sato::{SamplerKind, SatoConfig, SatoModel, SatoVariant, ServingScratch};
+use sato_integration::reference_predictions;
 use sato_tabular::corpus::default_corpus;
 use sato_tabular::table::{Column, Corpus, Table};
 use sato_topic::{LdaConfig, TableIntentEstimator, TopicScratch};
@@ -167,8 +167,8 @@ fn mh_sampler_thetas_are_statistically_close_to_dense() {
 
 /// The approximate samplers are *serving modes*: every serving entry point
 /// of a `with_sampler(SparseAlias)` or `with_sampler(MetropolisHastings)`
-/// predictor agrees with every other — for all four variants — and
-/// repeated serves are deterministic.
+/// predictor agrees with the unbatched reference — for all four variants —
+/// and repeated serves are deterministic.
 #[test]
 fn approximate_serving_modes_are_consistent_across_entry_points() {
     let train = default_corpus(25, 13);
@@ -186,11 +186,11 @@ fn approximate_serving_modes_are_consistent_across_entry_points() {
         for kind in [SamplerKind::SparseAlias, SamplerKind::MetropolisHastings] {
             predictor = predictor.with_sampler(kind);
             assert_eq!(predictor.sampler_kind(), kind);
-            let sequential = predictor.predict_corpus(&corpus);
+            let sequential = reference_predictions(&predictor, &corpus);
             assert_eq!(
                 sequential,
                 predictor.predict_corpus(&corpus),
-                "variant {} / {}: serving must be deterministic",
+                "variant {} / {}: serving must match the reference",
                 variant.name(),
                 kind.name()
             );
@@ -255,61 +255,24 @@ fn sampler_choice_affects_only_topic_aware_variants() {
     );
 }
 
-/// Artifact versioning: the sampler kind round-trips through JSON (and the
-/// loaded predictor reproduces the saved one bit for bit, alias tables
-/// rebuilt at load time); an artifact saved *without* a sampler field — the
-/// pre-sampler format — loads as Dense; an unknown sampler name is a clear
-/// load error, not a panic or a silent fallback.
+/// Artifact versioning: the sampler kind is part of the `SATOART1`
+/// artifact, and a loaded predictor serves exactly what the saved one's
+/// unbatched reference predicts, alias tables included.
 #[test]
 fn sampler_artifact_versioning() {
-    use sato::{PredictorError, SatoPredictor};
+    use sato::SatoPredictor;
     let train = default_corpus(25, 13);
-    let predictor = SatoModel::train(&train, tiny_config(), SatoVariant::Full)
-        .into_predictor()
-        .with_sampler(SamplerKind::SparseAlias);
     let corpus = default_corpus(8, 99);
-    let expected = predictor.predict_corpus(&corpus);
-
-    // Round trip preserves the kind and the exact predictions.
-    let json = predictor.to_json();
-    assert!(json.contains("\"sampler\":\"SparseAlias\""));
-    let loaded = SatoPredictor::from_json(&json).unwrap();
-    assert_eq!(loaded.sampler_kind(), SamplerKind::SparseAlias);
-    assert_eq!(expected, loaded.predict_corpus(&corpus));
-
-    // The Metropolis–Hastings kind round-trips the same way.
-    let mh = predictor.with_sampler(SamplerKind::MetropolisHastings);
-    let mh_expected = mh.predict_corpus(&corpus);
-    let mh_json = mh.to_json();
-    assert!(mh_json.contains("\"sampler\":\"MetropolisHastings\""));
-    let loaded = SatoPredictor::from_json(&mh_json).unwrap();
-    assert_eq!(loaded.sampler_kind(), SamplerKind::MetropolisHastings);
-    assert_eq!(mh_expected, loaded.predict_corpus(&corpus));
-
-    // Pre-sampler-era artifact (no sampler field at all) → Dense.
-    let dense = SatoModel::train(&train, tiny_config(), SatoVariant::Full).into_predictor();
-    let dense_json = dense.to_json();
-    let legacy = dense_json.replacen("\"sampler\":\"Dense\",", "", 1);
-    assert!(!legacy.contains("\"sampler\""), "field not stripped");
-    let loaded = SatoPredictor::from_json(&legacy).unwrap();
-    assert_eq!(loaded.sampler_kind(), SamplerKind::Dense);
-    assert_eq!(
-        dense.predict_corpus(&corpus),
-        loaded.predict_corpus(&corpus),
-        "legacy artifact must serve bit-identically to its dense author"
-    );
-
-    // Unknown sampler kind → descriptive load error.
-    let unknown = dense_json.replacen("\"sampler\":\"Dense\"", "\"sampler\":\"Turbo\"", 1);
-    match SatoPredictor::from_json(&unknown) {
-        Err(PredictorError::Json(e)) => {
-            let msg = e.to_string();
-            assert!(
-                msg.contains("unknown SamplerKind variant"),
-                "error should name the bad sampler kind, got: {msg}"
-            );
-        }
-        Err(other) => panic!("expected a JSON load error, got: {other}"),
-        Ok(_) => panic!("unknown sampler kind must fail to load"),
+    let mut predictor = SatoModel::train(&train, tiny_config(), SatoVariant::Full).into_predictor();
+    for kind in [SamplerKind::SparseAlias, SamplerKind::MetropolisHastings] {
+        predictor = predictor.with_sampler(kind);
+        let loaded = SatoPredictor::from_bytes(&predictor.to_bytes()).unwrap();
+        assert_eq!(loaded.sampler_kind(), kind);
+        assert_eq!(
+            reference_predictions(&predictor, &corpus),
+            loaded.predict_corpus(&corpus),
+            "{}",
+            kind.name()
+        );
     }
 }

@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 use sato::{SatoConfig, SatoModel, SatoVariant, ServingScratch};
+use sato_integration::reference_predictions;
 use sato_tabular::corpus::default_corpus;
 use sato_tabular::table::{Column, Corpus, Table};
 use sato_topic::{LdaConfig, SamplerKind, TableIntentEstimator, TopicScratch};
@@ -147,7 +148,8 @@ fn batched_topic_path_parity_all_variants_with_edge_tables() {
     ));
     for variant in SatoVariant::ALL {
         let predictor = SatoModel::train(&train, tiny_config(), variant).into_predictor();
-        let reference = predictor.predict_corpus(&corpus);
+        let reference = reference_predictions(&predictor, &corpus);
+        assert_eq!(reference, predictor.predict_corpus(&corpus));
         let mut scratch = ServingScratch::new();
         let mut memo_scratch = ServingScratch::new().with_topic_memo();
         for batch_cols in [1, 7, 1000] {
