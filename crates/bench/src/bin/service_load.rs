@@ -221,6 +221,9 @@ fn run_load_point(
             batch_cols: BATCH_COLS,
             queue_depth: QUEUE_DEPTH,
             default_deadline: Some(DEADLINE),
+            // The load pool is small and every request resubmits one of its
+            // tables, so a topic memo would turn the sweep into a
+            // measurement of the cache rather than of the service.
             topic_memo_capacity: 0,
             index_on_annotate: None,
         },

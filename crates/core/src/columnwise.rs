@@ -23,6 +23,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sato_features::{FeatureExtractor, FeatureGroup, FeatureScratch};
+use sato_kernels::Fnv1a;
 use sato_nn::layers::{BatchNorm, Dense, Dropout, Layer, ReLU};
 use sato_nn::loss::{softmax_cross_entropy, softmax_in_place};
 use sato_nn::network::{InferScratch, MultiInferScratch, MultiInputNetwork, Sequential};
@@ -374,52 +375,183 @@ pub(crate) fn row_vecs(m: &Matrix) -> Vec<Vec<f32>> {
     (0..m.rows()).map(|r| m.row(r).to_vec()).collect()
 }
 
-/// Default capacity (distinct table ids) of the opt-in topic memo enabled
-/// by [`ServingScratch::with_topic_memo`].
+/// Default capacity (entries) of the topic memo enabled by
+/// [`ServingScratch::with_topic_memo`].
 pub const DEFAULT_TOPIC_MEMO_CAPACITY: usize = 4096;
 
-/// Bounded per-table-id topic cache: a hash map plus an insertion-order
-/// queue. When a new id would exceed the capacity, the **oldest inserted**
-/// id is evicted (FIFO — O(1), deterministic, no recency bookkeeping on the
-/// hit path). An unbounded memo would grow without limit on long-lived
-/// serving over ever-fresh table ids.
+/// Token ids the memo may hold per entry of its capacity, on average: a
+/// memo of capacity `c` stores at most `c * MEMO_TOKENS_PER_ENTRY` ids in
+/// total, so a few wide tables cannot pin an unbounded amount of memory.
+const MEMO_TOKENS_PER_ENTRY: usize = 256;
+
+/// The memo key of an encoded table: FNV-1a-64 over its token ids, each
+/// as the four little-endian bytes the memo stores it in. An id that does
+/// not fit in `u32` is never stored, so truncating it here can only cause
+/// a miss.
+fn token_key(ids: &[usize]) -> u64 {
+    let mut hash = Fnv1a::new();
+    for &id in ids {
+        hash.write(&(id as u32).to_le_bytes());
+    }
+    hash.finish()
+}
+
+/// One memoised topic vector with the token ids it was inferred from.
+struct MemoEntry {
+    ids: Box<[u32]>,
+    theta: Box<[f32]>,
+}
+
+/// A table a fill worker estimated while the memo was on, kept until the
+/// fill is over and then inserted: its key and its token ids.
+struct Fresh {
+    key: u64,
+    ids: Box<[u32]>,
+}
+
+/// Bounded topic cache keyed by a table's **encoded token ids**: a hash map
+/// from the ids' FNV-1a-64 key to the ids and their topic vector, plus an
+/// insertion-order queue. A topic vector is a function of the token ids,
+/// the model's fixed inference seed and the artifact's sampler alone, so a
+/// hit replays exactly what inference would compute — whatever the table's
+/// id, letter case or out-of-vocabulary cells. A hit also requires equal
+/// ids, so two sequences under one key (a hash collision) miss rather than
+/// replay each other's vector.
+///
+/// Memory is bounded twice: by entry count and by the total number of
+/// stored token ids. When an insert exceeds either, the **oldest
+/// inserted** entries are evicted (FIFO — O(1), deterministic, no recency
+/// bookkeeping on the hit path) until both hold. A table with no tokens
+/// (its vector is the uniform one, cheap to infer) or with more tokens
+/// than the whole budget is never stored.
 struct TopicMemo {
-    map: HashMap<u64, Vec<f32>>,
+    map: HashMap<u64, MemoEntry>,
     order: VecDeque<u64>,
     capacity: usize,
+    /// Upper bound on `stored_tokens`.
+    token_budget: usize,
+    /// Token ids held across all entries.
+    stored_tokens: usize,
+    /// The key function: [`token_key`] except in collision tests.
+    key: fn(&[usize]) -> u64,
     /// Content hash of the artifact whose topic vectors are cached here
-    /// (`None` until the first serve). A table id alone does not identify a
-    /// cached vector — the same id yields different topics under different
-    /// artifacts — so entries cached under another artifact are cleared
-    /// rather than replayed (see [`ServingScratch::bind_artifact`]).
+    /// (`None` until the first serve). The same token ids yield different
+    /// topics under different artifacts, so entries cached under another
+    /// artifact are cleared rather than replayed (see
+    /// [`ServingScratch::bind_artifact`]).
     artifact: Option<u64>,
 }
 
 impl TopicMemo {
     fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         TopicMemo {
             map: HashMap::new(),
             order: VecDeque::new(),
-            capacity: capacity.max(1),
+            capacity,
+            token_budget: capacity.saturating_mul(MEMO_TOKENS_PER_ENTRY),
+            stored_tokens: 0,
+            key: token_key,
             artifact: None,
         }
     }
 
-    fn get(&self, id: u64) -> Option<&Vec<f32>> {
-        self.map.get(&id)
+    /// The topic vector stored for exactly these token ids.
+    fn get(&self, key: u64, ids: &[usize]) -> Option<&[f32]> {
+        self.map
+            .get(&key)
+            .filter(|entry| {
+                entry.ids.len() == ids.len()
+                    && entry.ids.iter().zip(ids).all(|(&a, &b)| a as usize == b)
+            })
+            .map(|entry| &*entry.theta)
     }
 
-    fn insert(&mut self, id: u64, theta: Vec<f32>) {
-        if self.map.insert(id, theta).is_some() {
-            return; // refreshed an existing id; insertion order unchanged
+    /// Look up the table a fill worker just encoded into `scratch`. On a
+    /// hit, copy its topic vector into `theta` and return `true`. On a
+    /// miss, leave the table's key and ids in `fresh` if the memo would
+    /// store them, and return `false`.
+    fn recall(
+        &self,
+        scratch: &mut FillScratch,
+        theta: &mut [f32],
+        fresh: &mut Option<Fresh>,
+    ) -> bool {
+        let ids = scratch.topic.tokens();
+        let key = (self.key)(ids);
+        if let Some(hit) = self.get(key, ids) {
+            theta.copy_from_slice(hit);
+            scratch.memo_hits += 1;
+            return true;
         }
-        if self.map.len() > self.capacity {
-            if let Some(oldest) = self.order.pop_front() {
-                self.map.remove(&oldest);
+        scratch.memo_misses += 1;
+        if !ids.is_empty() && ids.len() <= self.token_budget {
+            *fresh = ids
+                .iter()
+                .map(|&id| u32::try_from(id).ok())
+                .collect::<Option<_>>()
+                .map(|ids| Fresh { key, ids });
+        }
+        false
+    }
+
+    /// Store `theta` for `fresh`'s ids (which [`Self::recall`] admitted),
+    /// then evict the oldest entries until both bounds hold. An occupied
+    /// key keeps its entry: it holds either the same ids (the table
+    /// appeared twice in one batch) or colliding ones, which keep missing.
+    fn insert(&mut self, fresh: Fresh, theta: &[f32]) {
+        let Fresh { key, ids } = fresh;
+        if self.map.contains_key(&key) {
+            return;
+        }
+        self.stored_tokens += ids.len();
+        let theta = theta.into();
+        self.map.insert(key, MemoEntry { ids, theta });
+        self.order.push_back(key);
+        while self.map.len() > self.capacity || self.stored_tokens > self.token_budget {
+            let Some(oldest) = self.order.pop_front() else {
+                break;
+            };
+            if let Some(entry) = self.map.remove(&oldest) {
+                self.stored_tokens -= entry.ids.len();
             }
         }
-        self.order.push_back(id);
     }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.order.clear();
+        self.stored_tokens = 0;
+    }
+}
+
+/// The reference model the memo tests check a memo of `capacity` against:
+/// `held` (oldest first) after one batch of tables with the token ids in
+/// `batch`. Hits are judged against the memo as it stood before the batch;
+/// the misses are then stored in table order, except empty sequences, ones
+/// over the token budget and ones already held, each insert evicting the
+/// oldest entries until both bounds hold. Returns the batch's hits and
+/// misses.
+#[cfg(test)]
+pub(crate) fn model_topic_memo(
+    held: &mut Vec<Vec<usize>>,
+    capacity: usize,
+    batch: &[Vec<usize>],
+) -> (u64, u64) {
+    let capacity = capacity.max(1);
+    let budget = capacity * MEMO_TOKENS_PER_ENTRY;
+    let misses: Vec<&Vec<usize>> = batch.iter().filter(|ids| !held.contains(ids)).collect();
+    let counts = ((batch.len() - misses.len()) as u64, misses.len() as u64);
+    for ids in misses {
+        if ids.is_empty() || ids.len() > budget || held.contains(ids) {
+            continue;
+        }
+        held.push(ids.clone());
+        while held.len() > capacity || held.iter().map(Vec::len).sum::<usize>() > budget {
+            held.remove(0);
+        }
+    }
+    counts
 }
 
 /// One fill worker's workspace: the feature and topic buffers it extracts
@@ -430,6 +562,10 @@ struct FillScratch {
     /// Streaming table-topic estimation workspace (token ids, token buffer,
     /// Gibbs-inference buffers — including the sparse-sampler structures).
     topic: TopicScratch,
+    /// Tables this worker found in the topic memo, cumulative.
+    memo_hits: u64,
+    /// Tables this worker estimated while the memo was on, cumulative.
+    memo_misses: u64,
 }
 
 impl FillScratch {
@@ -466,7 +602,11 @@ pub struct ServingScratch {
     /// The last batch's topic vectors, `num_topics` floats per table in
     /// batch order.
     thetas: Vec<f32>,
-    /// Opt-in bounded memo of table id → topic vector (see
+    /// One slot per table of the batch, beside `thetas`: the key and token
+    /// ids of a table estimated while the memo was on, inserted once the
+    /// fill is over.
+    fresh: Vec<Option<Fresh>>,
+    /// Opt-in bounded memo of encoded tokens → topic vector (see
     /// [`Self::with_topic_memo`]).
     topic_memo: Option<TopicMemo>,
     /// The helper threads that fill a batch next to the calling thread.
@@ -490,45 +630,57 @@ impl ServingScratch {
         Self::default()
     }
 
-    /// Enable the per-table topic memo with the default capacity
-    /// ([`DEFAULT_TOPIC_MEMO_CAPACITY`] distinct ids): the topic vector of
-    /// every table id is cached in this scratch and reused when the same id
-    /// is served again, skipping the (comparatively expensive) LDA Gibbs
-    /// inference for repeated tables — the common shape of a serving loop
-    /// that re-predicts a slowly-changing corpus.
+    /// Enable the topic memo with the default capacity
+    /// ([`DEFAULT_TOPIC_MEMO_CAPACITY`] entries): the topic vector of every
+    /// table is cached in this scratch under the table's encoded token ids
+    /// and reused whenever a table that encodes to the same ids is served
+    /// again, skipping the (comparatively expensive) LDA Gibbs inference —
+    /// the common shape of a serving loop that sees the same cells more
+    /// than once.
     ///
-    /// Within one artifact the memo is keyed by [`Table::id`], so it must
-    /// only be used where a table id uniquely identifies the table's
-    /// content — serving a *different* table under a previously seen id
-    /// would reuse the stale topic vector. Across artifacts the memo is
-    /// safe by construction: every batched entry point binds the memo to
-    /// the serving predictor's content hash first, clearing entries cached
-    /// under a different artifact (hot-swap, or one scratch shared across
-    /// predictors), so stale vectors are never replayed. The default (no
-    /// memo) has no requirement at all.
+    /// A hit is bit-identical to inference by construction: the topic
+    /// vector depends only on the token ids, the model's fixed inference
+    /// seed and the artifact's sampler, a hit requires equal ids (not just
+    /// an equal hash), and every batched entry point binds the memo to the
+    /// serving predictor's content hash first, clearing entries cached under
+    /// a different artifact (hot-swap, or one scratch shared across
+    /// predictors).
     pub fn with_topic_memo(self) -> Self {
         self.with_topic_memo_capacity(DEFAULT_TOPIC_MEMO_CAPACITY)
     }
 
-    /// [`Self::with_topic_memo`] with an explicit capacity (clamped to at
-    /// least 1). When a new table id would exceed it, the oldest *inserted*
-    /// id is evicted (FIFO), bounding memory on long-lived serving loops
-    /// that see an unbounded stream of distinct ids; evicted tables are
-    /// simply re-estimated on their next serve.
+    /// [`Self::with_topic_memo`] with an explicit capacity in entries
+    /// (clamped to at least 1); the memo also holds at most 256 token ids
+    /// per entry of capacity in total. When an insert exceeds either bound,
+    /// the oldest *inserted* entries are evicted (FIFO), bounding memory on
+    /// long-lived serving loops that see an unbounded stream of distinct
+    /// tables; evicted tables are simply re-estimated on their next serve.
     pub fn with_topic_memo_capacity(mut self, capacity: usize) -> Self {
         self.topic_memo = Some(TopicMemo::new(capacity));
         self
     }
 
-    /// Number of distinct table ids currently memoised (0 when the memo is
+    /// Number of topic vectors currently memoised (0 when the memo is
     /// disabled).
     pub fn topic_memo_len(&self) -> usize {
         self.topic_memo.as_ref().map_or(0, |m| m.map.len())
     }
 
-    /// The memo's id capacity (0 when the memo is disabled).
+    /// The memo's entry capacity (0 when the memo is disabled).
     pub fn topic_memo_capacity(&self) -> usize {
         self.topic_memo.as_ref().map_or(0, |m| m.capacity)
+    }
+
+    /// Tables whose topic vector this scratch took from the memo, since it
+    /// was created.
+    pub fn topic_memo_hits(&self) -> u64 {
+        self.fill.iter().map(|f| f.memo_hits).sum()
+    }
+
+    /// Tables whose topic vector this scratch estimated while the memo was
+    /// on, since it was created (0 when the memo is disabled).
+    pub fn topic_memo_misses(&self) -> u64 {
+        self.fill.iter().map(|f| f.memo_misses).sum()
     }
 
     /// Pin the fan-out width instead of querying the host, so unit tests
@@ -545,12 +697,34 @@ impl ServingScratch {
         self.fanout.helpers()
     }
 
-    /// The memoised table ids, oldest insertion first.
+    /// The memoised token id sequences, oldest insertion first.
     #[cfg(test)]
-    pub(crate) fn topic_memo_order(&self) -> Vec<u64> {
+    pub(crate) fn topic_memo_order(&self) -> Vec<Vec<usize>> {
+        self.topic_memo.as_ref().map_or_else(Vec::new, |m| {
+            m.order
+                .iter()
+                .map(|key| m.map[key].ids.iter().map(|&id| id as usize).collect())
+                .collect()
+        })
+    }
+
+    /// Token ids held across all memo entries, and the memo's budget for
+    /// them.
+    #[cfg(test)]
+    pub(crate) fn topic_memo_tokens(&self) -> (usize, usize) {
         self.topic_memo
             .as_ref()
-            .map_or_else(Vec::new, |m| m.order.iter().copied().collect())
+            .map_or((0, 0), |m| (m.stored_tokens, m.token_budget))
+    }
+
+    /// Replace the memo's key function, so a test can force two token
+    /// sequences under one key.
+    #[cfg(test)]
+    pub(crate) fn with_topic_memo_key(mut self, key: fn(&[usize]) -> u64) -> Self {
+        if let Some(memo) = &mut self.topic_memo {
+            memo.key = key;
+        }
+        self
     }
 
     /// The column embeddings of the **last batch** run through this
@@ -574,8 +748,7 @@ impl ServingScratch {
     pub(crate) fn bind_artifact(&mut self, content_hash: u64) {
         if let Some(memo) = &mut self.topic_memo {
             if memo.artifact != Some(content_hash) {
-                memo.map.clear();
-                memo.order.clear();
+                memo.clear();
                 memo.artifact = Some(content_hash);
             }
         }
@@ -602,24 +775,25 @@ fn row_of(rows: &mut [f32], row: usize, w: usize) -> &mut [f32] {
     &mut rows[row * w..(row + 1) * w]
 }
 
+/// One table taken by a fill worker: the table, its input rows, its
+/// topic-vector slot and its memo slot.
+type Taken<'a, T> = (&'a T, GroupRows<'a>, &'a mut [f32], &'a mut Option<Fresh>);
+
 /// The tables of a batch not yet taken by a fill worker, with the input
-/// rows and topic-vector slot of each. Workers take the next table one at
-/// a time, so a worker that runs slower (a wide table, or a core shared
-/// with another process) simply takes fewer tables.
+/// rows, topic-vector slot and memo slot of each. Workers take the next
+/// table one at a time, so a worker that runs slower (a wide table, or a
+/// core shared with another process) simply takes fewer tables.
 struct Pending<'a, T: ?Sized> {
     tables: &'a [&'a T],
     rows: GroupRows<'a>,
     thetas: &'a mut [f32],
+    fresh: &'a mut [Option<Fresh>],
 }
 
 impl<'a, T: TableCells + ?Sized> Pending<'a, T> {
     /// Take the next table with its row slices (`widths` floats per row
-    /// and group) and its `k`-float topic slot.
-    fn take(
-        &mut self,
-        widths: &[usize],
-        k: usize,
-    ) -> Option<(&'a T, GroupRows<'a>, &'a mut [f32])> {
+    /// and group), its `k`-float topic slot and its memo slot.
+    fn take(&mut self, widths: &[usize], k: usize) -> Option<Taken<'a, T>> {
         let (&table, tables) = self.tables.split_first()?;
         self.tables = tables;
         let mut rows: GroupRows<'a> = Default::default();
@@ -630,7 +804,9 @@ impl<'a, T: TableCells + ?Sized> Pending<'a, T> {
         }
         let (theta, thetas) = std::mem::take(&mut self.thetas).split_at_mut(k);
         self.thetas = thetas;
-        Some((table, rows, theta))
+        let (fresh, rest) = std::mem::take(&mut self.fresh).split_first_mut()?;
+        self.fresh = rest;
+        Some((table, rows, theta, fresh))
     }
 }
 
@@ -793,9 +969,10 @@ impl FrozenColumnwise {
     /// Topic-aware batches of two or more tables are filled by several
     /// workers at once (see [`ServingScratch`]): the calling thread and the
     /// scratch's helpers take tables one at a time, each writing its
-    /// table's own rows. The topic memo is read-only while they run; misses
-    /// are inserted afterwards in table order, so the memo ends up exactly
-    /// as a one-worker fill leaves it.
+    /// table's own rows. The topic memo is read-only while they run; each
+    /// miss leaves its token ids in the table's slot, and the misses are
+    /// inserted afterwards in table order, so the memo ends up exactly as a
+    /// one-worker fill leaves it.
     fn fill_batch_groups<T: TableCells + ?Sized>(
         &self,
         tables: &[&T],
@@ -809,6 +986,7 @@ impl FrozenColumnwise {
         let ServingScratch {
             fill,
             thetas,
+            fresh,
             topic_memo,
             fanout,
             groups,
@@ -821,6 +999,8 @@ impl FrozenColumnwise {
         let topic = self.topic();
         let k = topic.map_or(0, |(est, _)| est.num_topics());
         thetas.resize(tables.len() * k, 0.0);
+        fresh.clear();
+        fresh.resize_with(tables.len(), || None);
 
         // Estimating topics is most of a batch's cost; features alone are
         // too cheap to pay for waking a helper.
@@ -839,6 +1019,7 @@ impl FrozenColumnwise {
             tables,
             rows,
             thetas: &mut thetas[..],
+            fresh: &mut fresh[..],
         });
         let memo = topic_memo.as_ref();
         if workers == 1 {
@@ -871,9 +1052,9 @@ impl FrozenColumnwise {
         }
 
         if let Some(memo) = topic_memo.as_mut().filter(|_| k > 0) {
-            for (table, theta) in tables.iter().zip(thetas.chunks_exact(k)) {
-                if memo.get(table.table_id()).is_none() {
-                    memo.insert(table.table_id(), theta.to_vec());
+            for (slot, theta) in fresh.iter_mut().zip(thetas.chunks_exact(k)) {
+                if let Some(table) = slot.take() {
+                    memo.insert(table, theta);
                 }
             }
         }
@@ -890,12 +1071,12 @@ impl FrozenColumnwise {
     }
 
     /// One fill worker: take tables from `pending` until none is left and
-    /// fill each one's rows. A table's topic vector comes from the memo or
-    /// is estimated through the worker's scratch (streaming encoder + Gibbs
-    /// buffers, bit-identical to `TableIntentEstimator::estimate`), is kept
-    /// in its topic slot and is replicated across the table's rows;
-    /// features are extracted straight into the rows (no per-column feature
-    /// vectors).
+    /// fill each one's rows. A table's cells are encoded into token ids;
+    /// its topic vector comes from the memo entry for those ids or is
+    /// estimated from them through the worker's scratch (Gibbs buffers,
+    /// bit-identical to `TableIntentEstimator::estimate`), is kept in its
+    /// topic slot and is replicated across the table's rows; features are
+    /// extracted straight into the rows (no per-column feature vectors).
     fn fill_pending<T: TableCells + ?Sized>(
         &self,
         pending: &Mutex<Pending<'_, T>>,
@@ -912,7 +1093,8 @@ impl FrozenColumnwise {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .take(w, k);
-            let Some((table, [g_char, g_word, g_para, g_stat, g_topic], theta)) = next else {
+            let Some((table, [g_char, g_word, g_para, g_stat, g_topic], theta, fresh)) = next
+            else {
                 return;
             };
             // Named injection point `core.feature_extract`, keyed by table
@@ -922,12 +1104,10 @@ impl FrozenColumnwise {
             #[cfg(feature = "faults")]
             sato_faults::fire_panic("core.feature_extract", table.table_id());
             if let Some((est, sampler)) = topic {
-                match memo.and_then(|m| m.get(table.table_id())) {
-                    Some(hit) => theta.copy_from_slice(hit),
-                    None => {
-                        theta.fill(0.0);
-                        est.estimate_cells_into(table, sampler, &mut scratch.topic, theta);
-                    }
+                est.encode_cells_into(table, &mut scratch.topic);
+                if !memo.is_some_and(|memo| memo.recall(scratch, theta, fresh)) {
+                    theta.fill(0.0);
+                    est.infer_encoded_into(sampler, &mut scratch.topic, theta);
                 }
             }
             for c in 0..table.cell_columns() {

@@ -196,6 +196,7 @@ impl FanOut {
 #[cfg(test)]
 mod tests {
     use super::FanOut;
+    use crate::columnwise::model_topic_memo;
     use crate::{SatoConfig, SatoModel, SatoPredictor, SatoVariant, ServingScratch};
     use sato_tabular::colstore::{corpus_to_bytes, ColStoreReader, TableBuf};
     use sato_tabular::corpus::default_corpus;
@@ -353,9 +354,10 @@ mod tests {
         }
     }
 
-    /// With the topic memo on, ids repeated inside one batch and across
-    /// batches (with evictions) leave the memo holding the ids a
-    /// table-by-table fill would, in the same FIFO order, at every width;
+    /// With the topic memo on, cells repeated inside one batch and across
+    /// batches (under fresh table ids, with evictions) leave the memo
+    /// holding the token id sequences a one-worker fill would, in the same
+    /// FIFO order, with the same hit and miss counts, at every width;
     /// outputs stay exact.
     #[test]
     fn fanout_keeps_topic_memo_contents_and_eviction_order() {
@@ -377,20 +379,21 @@ mod tests {
                         .with_fill_width(w)
                 })
                 .collect();
-            // The FIFO memo of a table-by-table fill: a table misses when
-            // its id is not held, and a miss evicts the oldest id once the
-            // memo is over capacity.
-            let mut expected: Vec<u64> = Vec::new();
+            let mut expected: Vec<Vec<usize>> = Vec::new();
+            let (mut hits, mut misses) = (0, 0);
             for (round, picks) in rounds.iter().enumerate() {
-                let tables: Vec<Table> = picks.iter().map(|&i| pool[i].clone()).collect();
-                for table in &tables {
-                    if !expected.contains(&table.id) {
-                        expected.push(table.id);
-                        if expected.len() > capacity {
-                            expected.remove(0);
-                        }
-                    }
-                }
+                // Every request carries its own id: only the cells repeat.
+                let tables: Vec<Table> = picks
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &p)| Table {
+                        id: 1000 * round as u64 + i as u64,
+                        ..pool[p].clone()
+                    })
+                    .collect();
+                let ids: Vec<Vec<usize>> = tables.iter().map(|t| predictor.token_ids(t)).collect();
+                let (h, m) = model_topic_memo(&mut expected, capacity, &ids);
+                (hits, misses) = (hits + h, misses + m);
                 let want = predictor.reference_predict_corpus(&Corpus::new(tables.clone()));
                 let batch: Vec<&Table> = tables.iter().collect();
                 for (scratch, width) in scratches.iter_mut().zip(WIDTHS) {
@@ -402,8 +405,14 @@ mod tests {
                         expected.len(),
                         "{what} memo length"
                     );
+                    assert_eq!(
+                        (scratch.topic_memo_hits(), scratch.topic_memo_misses()),
+                        (hits, misses),
+                        "{what} hits and misses"
+                    );
                 }
             }
+            assert!(hits > 0, "capacity {capacity}: the rounds repeat cells");
         }
     }
 

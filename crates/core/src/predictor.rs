@@ -636,6 +636,18 @@ impl SatoPredictor {
         let inputs = self.columnwise.extract_inputs(table);
         self.columnwise.embeddings_from_inputs(&inputs)
     }
+
+    /// The token ids a topic-aware model encodes `table` to (the topic
+    /// memo's content key).
+    pub(crate) fn token_ids(&self, table: &Table) -> Vec<usize> {
+        let est = self
+            .columnwise
+            .intent_estimator()
+            .expect("a topic-aware model carries an intent estimator");
+        let mut scratch = sato_topic::TopicScratch::new();
+        est.encode_cells_into(table, &mut scratch);
+        scratch.tokens().to_vec()
+    }
 }
 
 #[cfg(test)]
@@ -835,6 +847,16 @@ mod tests {
         assert_eq!(predictor.embed_batch(&none, &mut scratch).rows(), 0);
     }
 
+    /// Distinct non-empty token id sequences among `tables`: the entries a
+    /// memo large enough for all of them ends up holding.
+    fn distinct_encodings(predictor: &SatoPredictor, tables: &[Table]) -> usize {
+        let mut seen: Vec<Vec<usize>> = tables.iter().map(|t| predictor.token_ids(t)).collect();
+        seen.retain(|ids| !ids.is_empty());
+        seen.sort();
+        seen.dedup();
+        seen.len()
+    }
+
     #[test]
     fn topic_memo_preserves_batched_parity_across_repeated_serves() {
         let corpus = default_corpus(20, 8);
@@ -856,41 +878,55 @@ mod tests {
                 "memoised serve diverged on pass {pass}"
             );
         }
-        assert_eq!(scratch.topic_memo_len(), corpus.len());
+        let stored = distinct_encodings(&predictor, &corpus.tables);
+        assert_eq!(stored, corpus.len(), "the fixture's tables encode apart");
+        assert_eq!(scratch.topic_memo_len(), stored);
+        assert_eq!(scratch.topic_memo_misses(), corpus.len() as u64);
+        assert_eq!(scratch.topic_memo_hits(), 2 * corpus.len() as u64);
     }
 
     /// The topic memo is bounded: with capacity `c`, serving any number of
-    /// distinct table ids keeps at most `c` entries (oldest-inserted ids
-    /// evicted first), and eviction never affects correctness — an evicted
-    /// table is simply re-estimated on its next serve.
+    /// distinct tables keeps at most `c` entries and at most `c * 256`
+    /// token ids (oldest-inserted entries evicted first, exactly as the
+    /// reference model says), and eviction never affects correctness — an
+    /// evicted table is simply re-estimated on its next serve.
     #[test]
     fn topic_memo_capacity_bounds_growth_and_evicts_oldest() {
         let corpus = default_corpus(12, 8);
         let predictor =
             SatoModel::train(&corpus, tiny_config(), SatoVariant::Full).into_predictor();
         let sequential = predictor.reference_predict_corpus(&corpus);
-        let mut scratch = ServingScratch::new().with_topic_memo_capacity(3);
-        assert_eq!(scratch.topic_memo_capacity(), 3);
-        for pass in 0..3 {
-            assert_eq!(
-                sequential,
-                predictor.predict_corpus_batched_with(&corpus, 64, &mut scratch),
-                "bounded-memo serve diverged on pass {pass}"
-            );
-            assert_eq!(
-                scratch.topic_memo_len(),
-                3,
-                "memo exceeded its capacity on pass {pass}"
-            );
+        for capacity in [0, 3] {
+            let mut scratch = ServingScratch::new().with_topic_memo_capacity(capacity);
+            // Capacity clamps to at least one entry.
+            assert_eq!(scratch.topic_memo_capacity(), capacity.max(1));
+            let mut expected: Vec<Vec<usize>> = Vec::new();
+            for pass in 0..3 {
+                for (i, batch) in corpus.tables.chunks(4).enumerate() {
+                    let refs: Vec<&Table> = batch.iter().collect();
+                    assert_eq!(
+                        predictor.predict_batch(&refs, &mut scratch),
+                        sequential[4 * i..4 * i + batch.len()],
+                        "bounded-memo serve diverged on pass {pass} batch {i}"
+                    );
+                    let ids: Vec<Vec<usize>> =
+                        batch.iter().map(|t| predictor.token_ids(t)).collect();
+                    crate::columnwise::model_topic_memo(&mut expected, capacity, &ids);
+                    assert_eq!(
+                        scratch.topic_memo_order(),
+                        expected,
+                        "pass {pass} batch {i}"
+                    );
+                    assert!(scratch.topic_memo_len() <= capacity.max(1));
+                    let (stored, budget) = scratch.topic_memo_tokens();
+                    assert!(stored <= budget, "pass {pass}: {stored} tokens > {budget}");
+                }
+                assert!(
+                    !expected.is_empty(),
+                    "capacity {capacity} pass {pass}: the memo holds the newest tables"
+                );
+            }
         }
-        // Capacity clamps to at least one entry.
-        let mut tiny = ServingScratch::new().with_topic_memo_capacity(0);
-        assert_eq!(tiny.topic_memo_capacity(), 1);
-        assert_eq!(
-            sequential,
-            predictor.predict_corpus_batched_with(&corpus, 64, &mut tiny)
-        );
-        assert_eq!(tiny.topic_memo_len(), 1);
     }
 
     /// The content hash is a stable identity — freezing and loading the
@@ -945,10 +981,15 @@ mod tests {
         let mut scratch = ServingScratch::new().with_topic_memo();
         let served_a = a.predict_corpus_batched_with(&corpus, 64, &mut scratch);
         assert_eq!(served_a, a.reference_predict_corpus(&corpus));
-        assert_eq!(scratch.topic_memo_len(), corpus.len());
+        let stored_a = distinct_encodings(&a, &corpus.tables);
+        assert_eq!(stored_a, corpus.len(), "the fixture's tables encode apart");
+        assert_eq!(scratch.topic_memo_len(), stored_a);
         // Swap: serving even one table through B must clear A's cached
         // entries first — the memo ends up holding exactly B's one entry,
-        // not A's entries plus one.
+        // not A's entries plus one. The same cells encode to non-empty ids
+        // under both artifacts, so only the artifact binding keeps B from
+        // replaying A's vector.
+        assert!(!b.token_ids(&corpus.tables[0]).is_empty());
         let first = Corpus::new(vec![corpus.tables[0].clone()]);
         assert_eq!(
             b.predict_corpus_batched_with(&first, 64, &mut scratch),
@@ -965,11 +1006,185 @@ mod tests {
             b.reference_predict_corpus(&corpus)
         );
         // Swapping back re-estimates under A again (the memo was rebound).
+        let hits = scratch.topic_memo_hits();
         assert_eq!(
             a.predict_corpus_batched_with(&corpus, 64, &mut scratch),
             served_a
         );
-        assert_eq!(scratch.topic_memo_len(), corpus.len());
+        assert_eq!(scratch.topic_memo_len(), stored_a);
+        assert_eq!(
+            scratch.topic_memo_hits(),
+            hits,
+            "nothing replays across the swap"
+        );
+    }
+
+    /// The Full artifact the content-key tests share, trained once, with
+    /// its training corpus.
+    fn memo_fixture() -> &'static (SatoPredictor, Corpus) {
+        static FIXTURE: std::sync::OnceLock<(SatoPredictor, Corpus)> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let corpus = default_corpus(16, 8);
+            let predictor =
+                SatoModel::train(&corpus, tiny_config(), SatoVariant::Full).into_predictor();
+            (predictor, corpus)
+        })
+    }
+
+    /// The ROADMAP's safety claim: serving *different* cells under a table
+    /// id the memo has already seen re-estimates them — one batch at a
+    /// time and many at once — instead of replaying the id's old vector.
+    #[test]
+    fn topic_memo_never_replays_a_stale_theta_for_a_reused_id() {
+        let (predictor, corpus) = memo_fixture();
+        let reused: Vec<Table> = corpus
+            .iter()
+            .map(|t| Table { id: 5, ..t.clone() })
+            .collect();
+        let want = predictor.reference_predict_corpus(&Corpus::new(reused.clone()));
+        let mut scratch = ServingScratch::new().with_topic_memo();
+        for (table, want) in reused.iter().zip(&want) {
+            assert_eq!(
+                predictor.predict_batch(&[table], &mut scratch),
+                std::slice::from_ref(want)
+            );
+        }
+        let batch: Vec<&Table> = reused.iter().collect();
+        assert_eq!(predictor.predict_batch(&batch, &mut scratch), want);
+        let distinct = distinct_encodings(predictor, &reused);
+        assert_eq!(distinct, reused.len(), "the fixture's tables encode apart");
+        assert_eq!(scratch.topic_memo_len(), distinct);
+        assert_eq!(scratch.topic_memo_misses(), reused.len() as u64);
+        assert_eq!(scratch.topic_memo_hits(), reused.len() as u64);
+    }
+
+    /// Tables that differ only in their id, the letter case of their cells
+    /// or out-of-vocabulary cells encode to the same token ids: Gibbs runs
+    /// once for all of them, and every answer stays exact.
+    #[test]
+    fn topic_memo_runs_gibbs_once_for_equal_cells_under_different_ids() {
+        let (predictor, corpus) = memo_fixture();
+        let source = &corpus.tables[3];
+        let shout = |v: &String| v.to_uppercase();
+        let variants: Vec<Table> = (0..4u64)
+            .map(|i| {
+                let mut table = Table {
+                    id: 9000 + i,
+                    ..source.clone()
+                };
+                if i == 2 {
+                    for column in &mut table.columns {
+                        column.values = column.values.iter().map(shout).collect();
+                    }
+                }
+                if i == 3 {
+                    table.columns[0].values.push("zzqxqzzq".to_string());
+                }
+                table
+            })
+            .collect();
+        let ids = predictor.token_ids(source);
+        assert!(!ids.is_empty());
+        for table in &variants {
+            assert_eq!(predictor.token_ids(table), ids, "table {}", table.id);
+        }
+        let want = predictor.reference_predict_corpus(&Corpus::new(variants.clone()));
+        // One table per batch: the first misses, the rest hit.
+        let mut scratch = ServingScratch::new().with_topic_memo();
+        for (table, want) in variants.iter().zip(&want) {
+            assert_eq!(
+                predictor.predict_batch(&[table], &mut scratch),
+                std::slice::from_ref(want)
+            );
+        }
+        assert_eq!(scratch.topic_memo_misses(), 1);
+        assert_eq!(scratch.topic_memo_hits(), variants.len() as u64 - 1);
+        assert_eq!(scratch.topic_memo_len(), 1);
+        // All in one batch: the memo is read-only during a fill, so each
+        // misses, yet the batch stores one entry.
+        let mut scratch = ServingScratch::new().with_topic_memo();
+        let batch: Vec<&Table> = variants.iter().collect();
+        assert_eq!(predictor.predict_batch(&batch, &mut scratch), want);
+        assert_eq!(scratch.topic_memo_misses(), variants.len() as u64);
+        assert_eq!(scratch.topic_memo_len(), 1);
+        assert_eq!(predictor.predict_batch(&batch, &mut scratch), want);
+        assert_eq!(scratch.topic_memo_hits(), variants.len() as u64);
+    }
+
+    /// Two different token sequences under one key — a forced FNV
+    /// collision — never replay each other's vector: the first stored
+    /// keeps the key and hits, every other sequence misses.
+    #[test]
+    fn topic_memo_key_collision_is_a_miss() {
+        let (predictor, corpus) = memo_fixture();
+        let want = predictor.reference_predict_corpus(corpus);
+        let mut scratch = ServingScratch::new()
+            .with_topic_memo()
+            .with_topic_memo_key(|_| 0x5a70);
+        for pass in 0..3u64 {
+            for (table, want) in corpus.iter().zip(&want) {
+                assert_eq!(
+                    predictor.predict_batch(&[table], &mut scratch),
+                    std::slice::from_ref(want),
+                    "pass {pass} table {}",
+                    table.id
+                );
+            }
+            assert_eq!(
+                scratch.topic_memo_len(),
+                1,
+                "pass {pass}: one key, one entry"
+            );
+            assert_eq!(
+                scratch.topic_memo_order(),
+                [predictor.token_ids(&corpus.tables[0])]
+            );
+            assert_eq!(scratch.topic_memo_hits(), pass, "only the first table hits");
+        }
+        let batch: Vec<&Table> = corpus.tables.iter().collect();
+        assert_eq!(predictor.predict_batch(&batch, &mut scratch), want);
+    }
+
+    /// A table with more token ids than the memo's whole budget (here 10k
+    /// rows) and a table without any are never stored, and serving a
+    /// stream of tables never lets the stored-token total pass the budget.
+    #[test]
+    fn topic_memo_never_stores_huge_or_empty_tables_and_keeps_its_token_budget() {
+        use sato_tabular::table::Column;
+        let (predictor, corpus) = memo_fixture();
+        let capacity = 8;
+        let huge = Table::unlabelled(
+            77,
+            vec![Column::new((0..10_000).map(|r| {
+                corpus.tables[r % corpus.len()].columns[0].values[0].clone()
+            }))],
+        );
+        let empty = Table::unlabelled(78, vec![Column::new(["", "  "])]);
+        let mut scratch = ServingScratch::new().with_topic_memo_capacity(capacity);
+        let (_, budget) = scratch.topic_memo_tokens();
+        assert_eq!(budget, capacity * 256);
+        assert!(predictor.token_ids(&huge).len() > budget);
+        assert!(predictor.token_ids(&empty).is_empty());
+        let mut stream = vec![huge.clone(), empty.clone()];
+        stream.extend(corpus.tables.iter().cloned());
+        stream.extend([huge, empty]);
+        let want = predictor.reference_predict_corpus(&Corpus::new(stream.clone()));
+        let mut expected: Vec<Vec<usize>> = Vec::new();
+        for pass in 0..2 {
+            for (batch, want) in stream.chunks(3).zip(want.chunks(3)) {
+                let refs: Vec<&Table> = batch.iter().collect();
+                assert_eq!(predictor.predict_batch(&refs, &mut scratch), want);
+                let ids: Vec<Vec<usize>> = batch.iter().map(|t| predictor.token_ids(t)).collect();
+                crate::columnwise::model_topic_memo(&mut expected, capacity, &ids);
+                assert_eq!(scratch.topic_memo_order(), expected, "pass {pass}");
+                let (stored, _) = scratch.topic_memo_tokens();
+                assert!(stored <= budget, "pass {pass}: {stored} tokens > {budget}");
+            }
+        }
+        assert!(scratch
+            .topic_memo_order()
+            .iter()
+            .all(|ids| !ids.is_empty() && ids.len() <= budget));
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! See the [crate docs](crate) for the architecture and guarantees.
 
 use crate::stats::{ServiceStats, StatsCell};
-use sato::{ArtifactMeta, PredictorError, SatoPredictor, ServingScratch, TablePrediction};
+use sato::{
+    ArtifactMeta, PredictorError, SatoPredictor, ServingScratch, TablePrediction,
+    DEFAULT_TOPIC_MEMO_CAPACITY,
+};
 use sato_index::{ColumnRef, HnswConfig, HnswIndex, IndexError, Neighbor};
 use sato_tabular::colstore::{self, ColStoreError};
 use sato_tabular::table::{Column, Corpus, Table};
@@ -92,10 +95,12 @@ pub struct ServiceConfig {
     /// Deadline applied to requests that do not carry their own. `None`
     /// means no deadline: requests wait as long as the queue takes.
     pub default_deadline: Option<Duration>,
-    /// Capacity of the worker's per-table topic memo (0 disables it). Only
-    /// enable when table ids uniquely identify table content — the memo is
-    /// keyed by id within an artifact (it is invalidated across hot-swaps
-    /// automatically).
+    /// Capacity in entries of the worker's topic memo (0 disables it;
+    /// default [`DEFAULT_TOPIC_MEMO_CAPACITY`]). The memo keys each table's
+    /// topic vector by the table's encoded token ids, so a request that
+    /// resubmits cells already served — under any table id — skips LDA
+    /// inference and gets the bit-identical answer. It is cleared on
+    /// hot-swap (see [`ServingScratch::with_topic_memo`]).
     pub topic_memo_capacity: usize,
     /// Opt-in **index-on-annotate**: when set, every column served by the
     /// batcher also has its embedding inserted into a shared in-process
@@ -115,7 +120,7 @@ impl Default for ServiceConfig {
             batch_cols: 64,
             queue_depth: 256,
             default_deadline: None,
-            topic_memo_capacity: 0,
+            topic_memo_capacity: DEFAULT_TOPIC_MEMO_CAPACITY,
             index_on_annotate: None,
         }
     }
@@ -621,6 +626,8 @@ impl SatoService {
             quarantined: stats.quarantined.load(Relaxed),
             indexed_columns: stats.indexed_columns.load(Relaxed),
             index_rollbacks: stats.index_rollbacks.load(Relaxed),
+            topic_memo_hits: stats.topic_memo_hits.load(Relaxed),
+            topic_memo_misses: stats.topic_memo_misses.load(Relaxed),
             heartbeat_age_us: elapsed_us(self.shared.started)
                 .saturating_sub(stats.heartbeat_us.load(Relaxed)),
             queue_len,
@@ -1030,8 +1037,13 @@ fn run_batch(
         return;
     }
     let refs: Vec<&Table> = batch.iter().map(|&(r, t)| &live[r].tables[t]).collect();
+    let memo_before = (scratch.topic_memo_hits(), scratch.topic_memo_misses());
     let predictions = predictor.predict_batch(&refs, scratch);
     shared.stats.record_batch(cols, target);
+    shared.stats.record_topic_memo(
+        scratch.topic_memo_hits() - memo_before.0,
+        scratch.topic_memo_misses() - memo_before.1,
+    );
     // Index-on-annotate capture: `predict_batch` leaves this micro-batch's
     // column embeddings (one row per column, in batch order) sitting in the
     // scratch — the head reads them without overwriting — so indexing costs

@@ -124,6 +124,8 @@ pub(crate) struct StatsCell {
     pub(crate) quarantined: AtomicU64,
     pub(crate) indexed_columns: AtomicU64,
     pub(crate) index_rollbacks: AtomicU64,
+    pub(crate) topic_memo_hits: AtomicU64,
+    pub(crate) topic_memo_misses: AtomicU64,
     /// µs since service start at the worker's last liveness beat.
     pub(crate) heartbeat_us: AtomicU64,
     pub(crate) fill: [AtomicU64; FILL_BUCKETS],
@@ -146,6 +148,8 @@ impl StatsCell {
             quarantined: AtomicU64::new(0),
             indexed_columns: AtomicU64::new(0),
             index_rollbacks: AtomicU64::new(0),
+            topic_memo_hits: AtomicU64::new(0),
+            topic_memo_misses: AtomicU64::new(0),
             heartbeat_us: AtomicU64::new(0),
             fill: std::array::from_fn(|_| AtomicU64::new(0)),
             latency: LatencyHistogram::new(),
@@ -166,6 +170,12 @@ impl StatsCell {
         self.batched_columns.fetch_add(cols as u64, Relaxed);
         let decile = (cols * 10 / target.max(1)).min(FILL_BUCKETS - 1);
         self.fill[decile].fetch_add(1, Relaxed);
+    }
+
+    /// Fold in one micro-batch's topic-memo hits and misses.
+    pub(crate) fn record_topic_memo(&self, hits: u64, misses: u64) {
+        self.topic_memo_hits.fetch_add(hits, Relaxed);
+        self.topic_memo_misses.fetch_add(misses, Relaxed);
     }
 }
 
@@ -221,6 +231,15 @@ pub struct ServiceStats {
     ///
     /// [`SatoService::load_index`]: crate::SatoService::load_index
     pub index_rollbacks: u64,
+    /// Tables whose topic vector the worker took from its topic memo
+    /// (see [`ServiceConfig::topic_memo_capacity`]) instead of running LDA
+    /// inference.
+    ///
+    /// [`ServiceConfig::topic_memo_capacity`]: crate::ServiceConfig::topic_memo_capacity
+    pub topic_memo_hits: u64,
+    /// Tables of topic-aware artifacts whose topic vector the worker
+    /// estimated while its topic memo was on.
+    pub topic_memo_misses: u64,
     /// Age of the worker's last liveness heartbeat in µs at snapshot time.
     /// The worker beats at least every ~100 ms while alive (even idle or
     /// paused); a large value means the worker is stalled or gone.

@@ -39,6 +39,12 @@ impl TopicScratch {
         }
         self.infer.grow_to(&other.infer);
     }
+
+    /// The token ids the last [`TableIntentEstimator::encode_cells_into`]
+    /// encoded, in cell order.
+    pub fn tokens(&self) -> &[usize] {
+        &self.tokens
+    }
 }
 
 /// The table intent estimator: wraps a pre-trained [`LdaModel`] and exposes
@@ -151,7 +157,8 @@ impl TableIntentEstimator {
     /// [`Self::estimate_into`] over any [`TableCells`] source: the cells of
     /// an in-memory [`Table`] and of a decoded colstore frame visit in the
     /// identical column order, so the two inputs produce bit-identical
-    /// topic vectors.
+    /// topic vectors. Runs [`Self::encode_cells_into`], then
+    /// [`Self::infer_encoded_into`].
     pub fn estimate_cells_into<T: TableCells + ?Sized>(
         &self,
         table: &T,
@@ -159,14 +166,33 @@ impl TableIntentEstimator {
         scratch: &mut TopicScratch,
         out: &mut [f32],
     ) {
+        self.encode_cells_into(table, scratch);
+        self.infer_encoded_into(sampler, scratch, out);
+    }
+
+    /// The first step of [`Self::estimate_cells_into`]: encode the table's
+    /// cells into the scratch's token ids ([`TopicScratch::tokens`]). The
+    /// topic vector is a function of these ids alone (inference runs from
+    /// the model's fixed seed), so tables that encode alike share it.
+    pub fn encode_cells_into<T: TableCells + ?Sized>(&self, table: &T, scratch: &mut TopicScratch) {
         let TopicScratch {
-            tokens,
-            token_buf,
-            infer,
+            tokens, token_buf, ..
         } = scratch;
         tokens.clear();
         let vocab = self.model.vocabulary();
         table.for_each_cell(|value| vocab.encode_value_into(value, token_buf, tokens));
+    }
+
+    /// The second step of [`Self::estimate_cells_into`]: Gibbs inference
+    /// over the token ids the last [`Self::encode_cells_into`] left in
+    /// `scratch`, from the model's fixed inference seed.
+    pub fn infer_encoded_into(
+        &self,
+        sampler: &TopicSampler,
+        scratch: &mut TopicScratch,
+        out: &mut [f32],
+    ) {
+        let TopicScratch { tokens, infer, .. } = scratch;
         self.model
             .infer_tokens_into(tokens, self.model.default_infer_seed(), sampler, infer, out);
     }
@@ -261,6 +287,31 @@ mod tests {
                 table.id
             );
         }
+    }
+
+    /// Encoding and inference compose to the one-step estimate, and the
+    /// encoded ids ignore letter case and out-of-vocabulary cells.
+    #[test]
+    fn encode_then_infer_matches_the_one_step_estimate() {
+        let est = estimator();
+        let dense = est.build_sampler(SamplerKind::Dense);
+        let mut scratch = TopicScratch::new();
+        let table = &default_corpus(3, 17).tables[1];
+        est.encode_cells_into(table, &mut scratch);
+        let ids = scratch.tokens().to_vec();
+        assert!(!ids.is_empty());
+        let mut two_step = vec![0.0f32; est.num_topics()];
+        est.infer_encoded_into(&dense, &mut scratch, &mut two_step);
+        assert_eq!(two_step, est.estimate(table));
+
+        let mut variant = table.clone();
+        for column in &mut variant.columns {
+            column.values = column.values.iter().map(|v| v.to_uppercase()).collect();
+        }
+        variant.columns[0].values.push("zzzzqq".to_string());
+        est.encode_cells_into(&variant, &mut scratch);
+        assert_eq!(scratch.tokens(), ids);
+        assert_eq!(est.estimate(&variant), two_step);
     }
 
     /// The sparse/alias sampler produces valid, deterministic topic

@@ -46,8 +46,7 @@ fn main() {
             batch_cols: 48,
             queue_depth: 128,
             default_deadline: Some(Duration::from_secs(30)),
-            topic_memo_capacity: 0,
-            index_on_annotate: None,
+            ..ServiceConfig::default()
         },
     );
 
@@ -162,5 +161,12 @@ fn main() {
         stats.p50_us(),
         stats.p99_us(),
         stats.latency.max_us
+    );
+    let lookups = (stats.topic_memo_hits + stats.topic_memo_misses).max(1);
+    println!(
+        "  topic memo: {} hits / {} misses ({:.0}% hit rate)",
+        stats.topic_memo_hits,
+        stats.topic_memo_misses,
+        100.0 * stats.topic_memo_hits as f64 / lookups as f64
     );
 }

@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 use sato::{SamplerKind, SatoConfig, SatoModel, SatoPredictor, SatoVariant, TablePrediction};
+use sato_integration::reference_predictions;
 use sato_serve::{RequestOptions, SatoService, ServeError, ServiceConfig};
 use sato_tabular::colstore;
 use sato_tabular::table::{Column, Corpus, Table};
@@ -91,9 +92,8 @@ fn cell_value(entropy: usize) -> &'static str {
     POOL[entropy % POOL.len()]
 }
 
-/// Build one request's tables from per-table column counts; `first_id`
-/// keeps ids unique across the requests of a case (the id is the topic-memo
-/// key within an artifact).
+/// Build one request's tables from per-table column counts, with ids from
+/// `first_id` on.
 fn request_tables(col_counts: &[usize], first_id: u64, salt: usize) -> Vec<Table> {
     col_counts
         .iter()
@@ -273,7 +273,7 @@ fn all_variants_and_samplers_serve_bit_identically_across_a_hot_swap() {
             }
             // Phase 2: hot-swap, then serve the *same tables* again. The
             // worker's topic memo is warm with generation-A thetas for
-            // exactly these table ids; the artifact tag on the memo must
+            // exactly these cells; the artifact tag on the memo must
             // invalidate them, or topic-aware variants would reply with
             // generation-A topics under generation B's hash.
             service.swap_predictor(predictor(variant_idx, sampler, true));
@@ -304,6 +304,44 @@ fn all_variants_and_samplers_serve_bit_identically_across_a_hot_swap() {
             assert_eq!(stats.completed, 2 * requests.len() as u64);
         }
     }
+}
+
+/// Through the service with its default topic memo: different cells under
+/// a table id the worker has already served are re-estimated, never
+/// answered with the id's old topic vector, and equal cells under fresh
+/// ids are answered from the memo — every response bit-identical to the
+/// unbatched reference.
+#[test]
+fn topic_memo_same_id_with_different_cells_never_replays_through_the_service() {
+    let full = predictor(1, SamplerKind::Dense, false);
+    let source = sato_tabular::corpus::default_corpus(4, 31);
+    let reuse = |table: &Table, id: u64| Table {
+        id,
+        ..table.clone()
+    };
+    let requests = [
+        reuse(&source.tables[0], 7),
+        reuse(&source.tables[1], 7),
+        reuse(&source.tables[0], 8),
+        reuse(&source.tables[1], 9),
+        reuse(&source.tables[2], 7),
+    ];
+    let want = reference_predictions(&full, &Corpus::new(requests.to_vec()));
+    let service = SatoService::start(
+        predictor(1, SamplerKind::Dense, false),
+        ServiceConfig::default(),
+    );
+    for (table, want) in requests.iter().zip(&want) {
+        let response = service
+            .submit_table(table.clone(), RequestOptions::default())
+            .expect("admitted")
+            .wait()
+            .expect("served");
+        assert_eq!(&response.predictions, std::slice::from_ref(want));
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.topic_memo_misses, 3, "three distinct cell sets");
+    assert_eq!(stats.topic_memo_hits, 2, "two resubmitted cell sets");
 }
 
 /// A colstore byte stream submitted to the service is decoded at submission

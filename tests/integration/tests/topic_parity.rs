@@ -133,7 +133,8 @@ fn streaming_estimate_edge_cases_match_reference() {
 /// End to end, for **all four model variants**: the scratch/batched serving
 /// path (which runs the streaming topic estimate for topic-aware variants)
 /// must reproduce the per-table reference path bit for bit on a corpus laced
-/// with the topic edge cases — with and without the per-table topic memo.
+/// with the topic edge cases — with and without the topic memo, which holds
+/// one entry per distinct non-empty token id sequence.
 #[test]
 fn batched_topic_path_parity_all_variants_with_edge_tables() {
     let train = default_corpus(25, 13);
@@ -166,8 +167,22 @@ fn batched_topic_path_parity_all_variants_with_edge_tables() {
                 variant.name()
             );
         }
-        if predictor.uses_topic() {
-            assert_eq!(memo_scratch.topic_memo_len(), corpus.len());
+        if let Some(est) = predictor.columnwise().intent_estimator() {
+            let mut topic = TopicScratch::new();
+            let mut encodings: Vec<Vec<usize>> = corpus
+                .iter()
+                .map(|t| {
+                    est.encode_cells_into(t, &mut topic);
+                    topic.tokens().to_vec()
+                })
+                .collect();
+            encodings.retain(|ids| !ids.is_empty());
+            encodings.sort();
+            encodings.dedup();
+            // The empty and out-of-vocabulary-only edge tables encode to
+            // nothing and are never stored.
+            assert!(encodings.len() < corpus.len());
+            assert_eq!(memo_scratch.topic_memo_len(), encodings.len());
         } else {
             assert_eq!(memo_scratch.topic_memo_len(), 0);
         }
